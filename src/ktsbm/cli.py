@@ -26,6 +26,8 @@ from .experiments import (
     write_outputs,
 )
 from .graphio import read_graph_file, write_graph_file, write_labels_file
+from .kt import KT_PARTITION_CAP
+from .partitions import partition_count
 from .sbm import SbmParams, sample_sbm
 from .selection import PenaltySpec, dense_gap, estimate_order, identical_columns, sparse_gap
 
@@ -67,11 +69,24 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _k_max_hint(n: int) -> str:
+    """Point an infeasible exact request at the largest feasible k_max >= 2."""
+    k = 1
+    while k < n and partition_count(n, k + 1) <= KT_PARTITION_CAP:
+        k += 1
+    if k < 2:
+        return f"exact KT is infeasible at n={n} for any k_max >= 2"
+    return f"rerun with --k-max {k}, the largest k_max under the cap at n={n}"
+
+
 def cmd_estimate(args) -> int:
     graph = read_graph_file(args.graph)
     spec = PenaltySpec(args.epsilon)
     k_max = args.k_max if args.k_max is not None else min(graph.n, 8)
-    k_hat, table = estimate_order(graph, spec, k_max=k_max, kt_method=args.kt, seed=args.seed or 0)
+    try:
+        k_hat, table = estimate_order(graph, spec, k_max=k_max, kt_method=args.kt, seed=args.seed or 0)
+    except InfeasibleSizeError as e:
+        raise InfeasibleSizeError(f"{e}; {_k_max_hint(graph.n)}") from None
     header = f"{'k':>3} {'log_kt':>14} {'pen':>12} {'score':>14} method"
     print(header)
     for r in table.rows:

@@ -20,11 +20,13 @@ from scipy.special import gammaln, logsumexp, xlogy
 from .errors import ValidationError
 from .partitions import (
     PartitionTable,
-    cell_layout,
+    _cell_edges,
+    _cell_pairs,
+    _passes,
     graph_cell_edges,
     require_partitions,
 )
-from .sbm import Graph, LabelVector, compute_stats
+from .sbm import Graph, LabelVector, _label_index
 
 __all__ = [
     "KtValue",
@@ -41,7 +43,10 @@ __all__ = [
 KT_PARTITION_CAP = 2_000_000
 _LG_HALF = gammaln(0.5)  # log Gamma(1/2) = log sqrt(pi)
 _LOG_PI = 2.0 * _LG_HALF
-_MC_CHUNK = 1 << 19
+# Monte Carlo labels are drawn in blocks of this many samples.  The block
+# fixes how a seed's stream is consumed, so changing it changes every
+# estimate; memory is bounded by the counting passes inside a block instead.
+_MC_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,9 @@ def _cell_log_pred(ho: np.ndarray, hn: np.ndarray) -> np.ndarray:
 
 def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     """log K(x|z): product over cells a <= b of the Beta(1/2,1/2) predictive."""
-    s = compute_stats(z, x, k)
-    cell_a, cell_b = np.triu_indices(k)
-    hn = s.n_ab_tilde[cell_a, cell_b] // 2
-    ho = s.O_ab_tilde[cell_a, cell_b] // 2
-    return float(_cell_log_pred(ho, hn).sum())
+    codes = _label_index(z, x, k)[None, :]
+    ho = _cell_edges(codes, k, x.edges())[0]
+    return float(_cell_log_pred(ho, _cell_pairs(codes, k)[1][0]).sum())
 
 
 def _partition_base_terms(table: PartitionTable, ho: np.ndarray) -> np.ndarray:
@@ -164,30 +167,16 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     rng = rng_from_seed(seed)
     n = x.n
     edges = x.edges()
-    cell_a, cell_b, cell_of = cell_layout(k)
-    C = cell_a.size
-    log_l1 = []  # chunk logsumexp of L_s
-    log_l2 = []  # chunk logsumexp of 2 L_s
+    log_l1 = []  # block logsumexp of L_s
+    log_l2 = []  # block logsumexp of 2 L_s
     done = 0
     while done < samples:
-        size = min(_MC_CHUNK, samples - done)
+        size = min(_MC_BLOCK, samples - done)
         labels = _polya_urn_labels(rng, n, k, size)
-        flat = np.arange(size, dtype=np.int64)[:, None] * k + labels
-        counts = np.bincount(flat.ravel(), minlength=size * k).reshape(size, k)
-        ca = counts[:, cell_a].astype(np.int64)
-        cb = counts[:, cell_b].astype(np.int64)
-        hn = ca * cb
-        diag = cell_a == cell_b
-        hn[:, diag] = ca[:, diag] * (ca[:, diag] - 1) // 2
-        if edges.size:
-            A = labels[:, edges[:, 0]].astype(np.int64)
-            B = labels[:, edges[:, 1]].astype(np.int64)
-            cells = cell_of[A, B]
-            base = np.arange(size, dtype=np.int64)[:, None] * C
-            ho = np.bincount((base + cells).ravel(), minlength=size * C).reshape(size, C)
-        else:
-            ho = np.zeros((size, C), dtype=np.int64)
-        L = _cell_log_pred(ho, hn).sum(axis=1)
+        L = np.empty(size)
+        for lo, hi in _passes(size, n, k, len(edges)):
+            part = labels[lo:hi]
+            L[lo:hi] = _cell_log_pred(_cell_edges(part, k, edges), _cell_pairs(part, k)[1]).sum(axis=1)
         log_l1.append(logsumexp(L))
         log_l2.append(logsumexp(2.0 * L))
         done += size

@@ -6,14 +6,18 @@ Two flavors are provided:
   per orbit of the label-permutation group, with exact multiplicity weights.
   Valid whenever the quantity being accumulated is invariant under permuting
   label values (KT mixtures, profile likelihood).
-* full mixed-radix enumeration of {0..k-1}^n, chunked, for quantities that
+* full mixed-radix enumeration of {0..k-1}^n, in passes, for quantities that
   depend on the actual label values (marginal likelihood at fixed params,
   exact EM responsibilities).
 
 Per-labeling statistics use a condensed cell layout: cells are the pairs
 (a, b) with a <= b in row-major order; ``hn`` is the number of unordered
 node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
-(a, a) holds n_a(n_a-1)/2 pairs.
+(a, a) holds n_a(n_a-1)/2 pairs.  Every caller (partition tables, full
+enumeration, Monte Carlo label draws, single labelings) counts them with
+the same two kernels, ``_cell_pairs`` for block sizes and hn and
+``_cell_edges`` for ho, in passes whose temporaries stay under the byte
+budget ``_STATS_BYTES``, whatever the edge count.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ __all__ = [
     "iter_labeling_stats",
 ]
 
-_CHUNK_ROWS = 1 << 17
+# One counting pass keeps its int64 temporaries under this many bytes.
+_STATS_BYTES = 64 << 20
 
 
 def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,13 +55,40 @@ def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cell_a, cell_b, cell_of
 
 
-def _cell_pair_counts(counts: np.ndarray, cell_a: np.ndarray, cell_b: np.ndarray) -> np.ndarray:
-    ca = counts[:, cell_a].astype(np.int64)
-    cb = counts[:, cell_b].astype(np.int64)
+def _passes(rows: int, n: int, k: int, m: int):
+    """(lo, hi) row ranges for counting labelings of n nodes into k blocks
+    with m edges.  A row's footprint is its node slots plus up to four live
+    int64 arrays per edge and per cell."""
+    step = max(1, _STATS_BYTES // (8 * (n + 4 * (m + k * (k + 1) // 2))))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+def _cell_pairs(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block sizes (L, k) and node pairs per condensed cell (L, C), int64,
+    of the labelings in the rows of ``codes`` (values 0..k-1).  Callers
+    bound L with ``_passes``."""
+    L = codes.shape[0]
+    cell_a, cell_b, _ = cell_layout(k)
+    rows = np.arange(L, dtype=np.int64)[:, None]
+    counts = np.bincount((rows * k + codes).ravel(), minlength=L * k).reshape(L, k)
+    ca = counts[:, cell_a]
+    cb = counts[:, cell_b]
     hn = ca * cb
     diag = cell_a == cell_b
     hn[:, diag] = ca[:, diag] * (ca[:, diag] - 1) // 2
-    return hn
+    return counts, hn
+
+
+def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
+    """Edges per condensed cell (L, C), int64, of the labelings in the rows
+    of ``codes`` (values 0..k-1).  Callers bound L with ``_passes``."""
+    L = codes.shape[0]
+    _, _, cell_of = cell_layout(k)
+    C = k * (k + 1) // 2
+    cells = cell_of[codes[:, edges[:, 0]], codes[:, edges[:, 1]]]
+    rows = np.arange(L, dtype=np.int64)[:, None]
+    return np.bincount((rows * C + cells).ravel(), minlength=L * C).reshape(L, C)
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +137,7 @@ class PartitionTable:
     nblocks: np.ndarray    # (P,) int64
     counts: np.ndarray     # (P, m_max) int64 block sizes
     hn: np.ndarray         # (P, C) int64 pairs per condensed cell
-    cell_a: np.ndarray
-    cell_b: np.ndarray
-    cell_of: np.ndarray
+    cell_a: np.ndarray     # (C,) first block of each condensed cell
 
     @property
     def size(self) -> int:
@@ -119,10 +149,11 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     m_max = min(m_max, n)
     codes, maxval = _rgs_codes(n, m_max)
     P = codes.shape[0]
-    flat = np.arange(P, dtype=np.int64)[:, None] * m_max + codes
-    counts = np.bincount(flat.ravel(), minlength=P * m_max).reshape(P, m_max)
-    cell_a, cell_b, cell_of = cell_layout(m_max)
-    hn = _cell_pair_counts(counts, cell_a, cell_b)
+    cell_a = cell_layout(m_max)[0]
+    counts = np.empty((P, m_max), dtype=np.int64)
+    hn = np.empty((P, cell_a.size), dtype=np.int64)
+    for lo, hi in _passes(P, n, m_max, 0):
+        counts[lo:hi], hn[lo:hi] = _cell_pairs(codes[lo:hi], m_max)
     return PartitionTable(
         n=n,
         m_max=m_max,
@@ -131,8 +162,6 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
         counts=counts,
         hn=hn,
         cell_a=cell_a,
-        cell_b=cell_b,
-        cell_of=cell_of,
     )
 
 
@@ -148,22 +177,9 @@ def require_partitions(n: int, m_max: int, cap: int) -> PartitionTable:
 
 def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
     """Edges per condensed cell for every partition: (P, C) int64."""
-    P = table.size
-    C = table.cell_a.size
-    ho = np.zeros((P, C), dtype=np.int64)
-    if edges.size == 0:
-        return ho
-    ei = edges[:, 0]
-    ej = edges[:, 1]
-    for lo in range(0, P, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, P)
-        A = table.codes[lo:hi, ei].astype(np.int64)
-        B = table.codes[lo:hi, ej].astype(np.int64)
-        cells = table.cell_of[A, B]
-        base = np.arange(hi - lo, dtype=np.int64)[:, None] * C
-        ho[lo:hi] = np.bincount(
-            (base + cells).ravel(), minlength=(hi - lo) * C
-        ).reshape(hi - lo, C)
+    ho = np.empty((table.size, table.cell_a.size), dtype=np.int64)
+    for lo, hi in _passes(table.size, table.n, table.m_max, len(edges)):
+        ho[lo:hi] = _cell_edges(table.codes[lo:hi], table.m_max, edges)
     return ho
 
 
@@ -177,30 +193,15 @@ def _decode_labelings(lo: int, hi: int, n: int, k: int) -> np.ndarray:
     return ((idx[:, None] // powers) % k).astype(np.int8)
 
 
-def iter_labeling_stats(n: int, k: int, edges: np.ndarray, chunk: int = _CHUNK_ROWS):
-    """Yield (counts, hn, ho) over all k**n labelings in fixed chunks.
+def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
+    """Yield (counts, hn, ho) over all k**n labelings, one budgeted pass at
+    a time.
 
     counts is (L, k); hn/ho are (L, C) in the condensed cell layout of k.
     """
-    total = labeling_count(n, k)
-    cell_a, cell_b, cell_of = cell_layout(k)
-    C = cell_a.size
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
+    for lo, hi in _passes(labeling_count(n, k), n, k, len(edges)):
         codes = _decode_labelings(lo, hi, n, k)
-        L = hi - lo
-        flat = np.arange(L, dtype=np.int64)[:, None] * k + codes
-        counts = np.bincount(flat.ravel(), minlength=L * k).reshape(L, k)
-        hn = _cell_pair_counts(counts, cell_a, cell_b)
-        if edges.size:
-            A = codes[:, edges[:, 0]].astype(np.int64)
-            B = codes[:, edges[:, 1]].astype(np.int64)
-            cells = cell_of[A, B]
-            base = np.arange(L, dtype=np.int64)[:, None] * C
-            ho = np.bincount((base + cells).ravel(), minlength=L * C).reshape(L, C)
-        else:
-            ho = np.zeros((L, C), dtype=np.int64)
-        yield counts, hn, ho
+        yield (*_cell_pairs(codes, k), _cell_edges(codes, k, edges))
 
 
 def labeling_stats(n: int, k: int, edges: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,8 +211,5 @@ def labeling_stats(n: int, k: int, edges: np.ndarray, cap: int) -> tuple[np.ndar
         raise InfeasibleSizeError(
             f"exact enumeration needs k**n = {total} labelings, above the cap {cap}"
         )
-    parts = list(iter_labeling_stats(n, k, edges))
-    counts = np.concatenate([p[0] for p in parts])
-    hn = np.concatenate([p[1] for p in parts])
-    ho = np.concatenate([p[2] for p in parts])
+    counts, hn, ho = (np.concatenate(part) for part in zip(*iter_labeling_stats(n, k, edges)))
     return counts, hn, ho

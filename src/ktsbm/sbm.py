@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .partitions import _cell_edges, _cell_pairs, cell_layout
 from .seeds import rng_from_seed
 
 __all__ = [
@@ -269,15 +270,12 @@ class SuffStats:
 
     n_a[a] is the size of block a+1; n_ab follows the ordered-pair pair-count
     convention (n_a*n_b off the diagonal, n_a*(n_a-1) on it); O_ab counts
-    ordered endpoint pairs of edges.  The tilde variants double the
-    off-diagonal entries; E_n = sum(O_ab) is twice the edge count.
+    ordered endpoint pairs of edges; E_n = sum(O_ab) is twice the edge count.
     """
 
     n_a: np.ndarray
     n_ab: np.ndarray
-    n_ab_tilde: np.ndarray
     O_ab: np.ndarray
-    O_ab_tilde: np.ndarray
     E_n: int
 
     @property
@@ -289,34 +287,26 @@ class SuffStats:
         return int(self.n_a.sum())
 
 
-def compute_stats(z: LabelVector, x: Graph, k: int) -> SuffStats:
-    """Extract the sufficient statistics of (z, x) for a k-block model."""
+def _label_index(z: LabelVector, x: Graph, k: int) -> np.ndarray:
+    """0-based labels of z, checked against the graph size and k."""
     if len(z) != x.n:
         raise ValidationError(f"labeling has length {len(z)} but graph has {x.n} nodes")
     if z.k > k or (len(z) and z.labels.max() > k):
         raise ValidationError(f"labels exceed k={k}")
-    lab0 = z.labels - 1
-    n_a = np.bincount(lab0, minlength=k).astype(np.int64)
-    n_ab = np.outer(n_a, n_a)
-    np.fill_diagonal(n_ab, n_a * (n_a - 1))
-    edges = x.edges()
-    if edges.size:
-        a = lab0[edges[:, 0]]
-        b = lab0[edges[:, 1]]
-        flat = np.concatenate([a * k + b, b * k + a])
-        O_ab = np.bincount(flat, minlength=k * k).reshape(k, k).astype(np.int64)
-    else:
-        O_ab = np.zeros((k, k), dtype=np.int64)
-    n_tilde = 2 * n_ab
-    np.fill_diagonal(n_tilde, n_ab.diagonal())
-    O_tilde = 2 * O_ab
-    np.fill_diagonal(O_tilde, O_ab.diagonal())
+    return z.labels - 1
+
+
+def compute_stats(z: LabelVector, x: Graph, k: int) -> SuffStats:
+    """Extract the sufficient statistics of (z, x) for a k-block model."""
+    codes = _label_index(z, x, k)[None, :]
+    counts, hn = _cell_pairs(codes, k)
+    cell_of = cell_layout(k)[2]
+    twice = 1 + np.eye(k, dtype=np.int64)  # ordered pairs count a diagonal cell twice
+    O_ab = _cell_edges(codes, k, x.edges())[0][cell_of] * twice
     return SuffStats(
-        n_a=_freeze(n_a),
-        n_ab=_freeze(n_ab),
-        n_ab_tilde=_freeze(n_tilde),
+        n_a=_freeze(counts[0]),
+        n_ab=_freeze(hn[0][cell_of] * twice),
         O_ab=_freeze(O_ab),
-        O_ab_tilde=_freeze(O_tilde),
         E_n=int(O_ab.sum()),
     )
 

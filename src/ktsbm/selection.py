@@ -133,20 +133,17 @@ def estimate_order(
     kt_method: str = "exact",
     seed: int = 0,
     cap: int = KT_PARTITION_CAP,
-    penalty_fn=None,
 ) -> tuple[int, CriterionTable]:
     """Penalized KT order estimate over k = 1..k_max.
 
     Returns the smallest k attaining the maximal score, plus the full
-    audit table.  ``penalty_fn(k, n) -> float`` optionally replaces the
-    built-in penalty.  Monte Carlo KT values derive per-k seeds from
-    ``seed`` and are tagged in the table.
+    audit table.  Monte Carlo KT values derive per-k seeds from ``seed``
+    and are tagged in the table.
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     kind, samples = parse_kt_method(kt_method)
     n = x.n
-    pen_of = penalty_fn if penalty_fn is not None else (lambda k, n: penalty(k, n, spec))
     if kind == "exact":
         table = require_partitions(n, min(k_max, n), cap)
         base = _partition_base_terms(table, graph_cell_edges(table, x.edges()))
@@ -166,7 +163,7 @@ def estimate_order(
         ]
     rows = []
     for kv in kt_values:
-        pen_k = float(pen_of(kv.k, n))
+        pen_k = penalty(kv.k, n, spec)
         tag = "exact" if kv.method == "exact" else f"mc:{kv.samples}"
         rows.append(
             CriterionRow(

@@ -70,6 +70,21 @@ def test_estimate_infeasible_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", str(big), "--k-max", "8")
     assert code == 3
     assert "cap" in err
+    assert "infeasible at n=40" in err
+    assert "--kt" not in err
+
+
+def test_estimate_infeasible_default_names_feasible_k_max(tmp_path, capsys):
+    # the default k_max = min(n, 8) needs 4 189 550 partitions at n=12; k_max=4 fits
+    graph = tmp_path / "g12.txt"
+    graph.write_text("12 1\n1 2\n")
+    code, _, err = run_cli(capsys, "estimate", str(graph))
+    assert code == 3
+    assert "--k-max 4," in err
+    assert "--kt" not in err
+    code, out, _ = run_cli(capsys, "estimate", str(graph), "--k-max", "4")
+    assert code == 0
+    assert "k_hat=" in out
 
 
 def test_consistency_cli_and_determinism(tmp_path, capsys):

@@ -88,7 +88,6 @@ def test_compute_stats_hand_examples():
     assert s.n_a.tolist() == [2]
     assert s.n_ab.tolist() == [[2]]
     assert s.O_ab.tolist() == [[2]]
-    assert s.O_ab_tilde.tolist() == [[2]]
     assert s.E_n == 2
 
     z = LabelVector([1, 2, 1], 2)
@@ -129,11 +128,6 @@ def test_stats_invariants_on_sampled_pairs(seed, n, k):
     assert s.O_ab.sum() == s.E_n == 2 * g.edge_count
     assert np.array_equal(s.O_ab, s.O_ab.T)
     assert np.all(s.O_ab <= s.n_ab)
-    assert np.all(s.n_ab_tilde <= 2 * n * n)
-    off = ~np.eye(k, dtype=bool)
-    assert np.array_equal(s.n_ab_tilde[off], 2 * s.n_ab[off])
-    assert np.array_equal(np.diag(s.n_ab_tilde), np.diag(s.n_ab))
-    assert np.array_equal(s.O_ab_tilde[off], 2 * s.O_ab[off])
 
 
 def test_relabeling_invariance():
