@@ -20,6 +20,7 @@ from .likelihood import (
     FitResult,
     complete_log_prob,
     fit_marginal_ml,
+    fit_marginal_ml_batch,
     gamma_fn,
     marginal_log_lik_exact,
     max_complete_log_lik,

@@ -90,7 +90,7 @@ def cmd_estimate(args) -> int:
     header = f"{'k':>3} {'log_kt':>14} {'pen':>12} {'score':>14} method"
     print(header)
     for r in table.rows:
-        extra = f" +-{r.std_error:.4f}" if r.std_error is not None else ""
+        extra = f" +-{r.std_error:.4f} ess={r.ess:.1f}" if r.std_error is not None else ""
         print(f"{r.k:>3} {r.log_kt:>14.6f} {r.pen:>12.6f} {r.score:>14.6f} {r.method}{extra}")
     print(f"k_hat={k_hat}")
     if args.out is not None:
@@ -109,6 +109,7 @@ def cmd_estimate(args) -> int:
                     "score": r.score,
                     "method": r.method,
                     "std_error": r.std_error,
+                    "ess": r.ess,
                 }
                 for r in table.rows
             ],
@@ -137,9 +138,7 @@ def cmd_consistency(args) -> int:
     try:
         records = run_consistency(config, threads=args.threads)
     except InfeasibleSizeError as e:
-        raise InfeasibleSizeError(
-            f"{e}; exact KT is infeasible at the requested sizes, rerun with --kt mc:SAMPLES"
-        ) from None
+        raise InfeasibleSizeError(f"{e}; {_k_max_hint(max(config.n_grid))}") from None
     paths = write_outputs(config, records, config.output_path)
     _log(f"[consistency] wrote {paths['trials']}, {paths['summary']}, {paths['config']}")
     return EXIT_OK

@@ -59,6 +59,7 @@ class KtValue:
     n: int
     samples: int | None = None
     std_error: float | None = None
+    ess: float | None = None  # Kish effective sample size of a Monte Carlo value
 
     def __post_init__(self):
         if self.method == "exact" and self.log_value > 1e-9:
@@ -157,8 +158,9 @@ def _polya_urn_labels(rng, n: int, k: int, size: int) -> np.ndarray:
 def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     """Monte Carlo estimate of K(x): average K(x|z) over exact K(z) draws.
 
-    Unbiased in the linear domain; reports log of the sample mean and a
-    delta-method standard error on the log scale.
+    Unbiased in the linear domain; reports log of the sample mean, a
+    delta-method standard error on the log scale and the Kish effective
+    sample size (sum w)^2 / sum w^2 of the weights w = K(x|z).
     """
     if samples < 100:
         raise ValidationError(f"samples must be >= 100, got {samples}")
@@ -192,6 +194,7 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
         n=n,
         samples=samples,
         std_error=std_error,
+        ess=float(np.exp(2.0 * a - b)),
     )
 
 

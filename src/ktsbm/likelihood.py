@@ -18,6 +18,7 @@ from scipy.special import logsumexp, xlogy
 
 from .errors import InfeasibleSizeError, ValidationError
 from .partitions import (
+    _budget_passes,
     graph_cell_edges,
     iter_labeling_stats,
     labeling_count,
@@ -38,6 +39,7 @@ __all__ = [
     "marginal_log_lik_exact",
     "FitResult",
     "fit_marginal_ml",
+    "fit_marginal_ml_batch",
     "sparse_decomposition_check",
     "sparse_decomposition_parts",
 ]
@@ -281,50 +283,131 @@ def _finish_params(pi: np.ndarray, P: np.ndarray, k: int) -> SbmParams:
     return SbmParams(k=k, pi=pi, P=np.clip(P, 0.0, 1.0))
 
 
-def _fit_exact(x, k, starts, tol, seed, max_iter, exact_cap, extra_inits):
-    n = x.n
-    counts, hn, ho = labeling_stats(n, k, x.edges(), exact_cap)
-    rng = rng_from_seed(derive_seed(seed, 0xE3))
-    pis = rng.dirichlet(np.ones(k), size=starts)
-    Pcs = rng.uniform(0.05, 0.95, size=(starts, hn.shape[1]))
-    for pi0, P0 in extra_inits:
-        pis = np.vstack([pis, np.asarray(pi0, dtype=float)])
-        Pcs = np.vstack([Pcs, _as_cells(np.asarray(P0, dtype=float), k)])
-    S = pis.shape[0]
-    ll_prev = np.full(S, -np.inf)
-    active = np.ones(S, dtype=bool)
-    iters = np.zeros(S, dtype=int)
-    history: list[np.ndarray] = []
-    for _ in range(max_iter):
-        ll_mat = counts @ _safe_log(pis).T + ho @ _safe_log(Pcs).T + (hn - ho) @ _safe_log(1.0 - Pcs).T
-        ll = logsumexp(ll_mat, axis=0)
-        history.append(ll.copy())
-        iters[active] += 1
+def _em_starts(seeds, k, C, starts, extra_inits):
+    """Initial (pi, P cells) of every (graph, start) run, graph-major: each
+    graph's random starts come from its own seed's stream, then the
+    ``extra_inits``."""
+    pis, Pcs = [], []
+    for seed in seeds:
+        rng = rng_from_seed(derive_seed(seed, 0xE3))
+        pis.append(rng.dirichlet(np.ones(k), size=starts))
+        Pcs.append(rng.uniform(0.05, 0.95, size=(starts, C)))
+        for pi0, P0 in extra_inits:
+            pis.append(np.asarray(pi0, dtype=float)[None, :])
+            Pcs.append(_as_cells(np.asarray(P0, dtype=float), k)[None, :])
+    return np.vstack(pis), np.vstack(Pcs)
+
+
+def _em_runs(stats, graph_of, pis, Pcs, n, tol, max_iter):
+    """Exact EM on R independent runs; run r fits graph ``graph_of[r]``.
+
+    ``stats`` (G, k + 2C, L) holds, for each graph and each of the L
+    labelings, the block sizes, then the edges and the non-edges per cell.
+    Every iteration computes only the runs still going; a run stops at its
+    own convergence or at ``max_iter``.  Returns per run the final
+    log-likelihood, iteration count, converged flag and (pi, P cells), and
+    the trail: per iteration, the log-likelihoods of the runs going and, if
+    some stopped, the mask of those that go on.
+    """
+    R, k = pis.shape
+    C = Pcs.shape[1]
+    # the statistics of the runs still going; mode="clip" writes straight
+    # into the buffer (the indices are in range)
+    cells = np.empty((R,) + stats.shape[1:])
+    np.take(stats, graph_of, axis=0, out=cells, mode="clip")
+    run = np.arange(R)
+    ll_prev = np.full(R, -np.inf)
+    final_ll = np.empty(R)
+    iters = np.full(R, max_iter)
+    converged = np.zeros(R, dtype=bool)
+    final_pi = np.empty_like(pis)
+    final_P = np.empty_like(Pcs)
+    trail = []
+    for it in range(max_iter):
+        ll_mat = np.einsum("rjl,rj->rl", cells, _safe_log(np.hstack([pis, Pcs, 1.0 - Pcs])))
+        top = ll_mat.max(axis=1)
+        ll_mat -= top[:, None]
+        e = np.exp(ll_mat, out=ll_mat)
+        total = e.sum(axis=1)
+        ll = np.log(total) + top
+        trail.append([ll, None])
         with np.errstate(invalid="ignore"):
-            rel = np.abs(ll - ll_prev) / np.maximum(np.abs(ll_prev), 1e-12)
-        newly_done = active & (rel < tol)
-        active = active & ~newly_done
+            done = np.abs(ll - ll_prev) / np.maximum(np.abs(ll_prev), 1e-12) < tol
         ll_prev = ll
-        if not active.any():
-            break
-        w = np.exp(ll_mat - ll[None, :])
-        Na = w.T @ counts
-        upd_pi = Na / n
-        Eho = w.T @ ho
-        Ehn = w.T @ hn
-        upd_P = _pair_ratio(Eho, Ehn)
-        pis[active] = upd_pi[active]
-        Pcs[active] = upd_P[active]
-    best = int(np.argmax(ll_prev))
-    trace = tuple(float(h[best]) for h in history[: iters[best]])
-    return FitResult(
-        params=_finish_params(pis[best], _cells_to_matrix(Pcs[best], k), k),
-        log_marginal=float(ll_prev[best]),
-        iterations=int(iters[best]),
-        converged=not bool(active[best]),
-        estep="exact",
-        history=trace,
-    )
+        if done.any():
+            stop = run[done]
+            final_ll[stop], iters[stop], converged[stop] = ll[done], it + 1, True
+            final_pi[stop], final_P[stop] = pis[done], Pcs[done]
+            going = trail[-1][1] = ~done
+            run, ll_prev, pis, Pcs, e, total = (a[going] for a in (run, ll_prev, pis, Pcs, e, total))
+            if not run.size:
+                break
+            cells = cells[: run.size]
+            np.take(stats, graph_of[run], axis=0, out=cells, mode="clip")
+        expected = np.einsum("rjl,rl->rj", cells, e) / total[:, None]
+        pis = expected[:, :k] / n
+        edges, rest = expected[:, k : k + C], expected[:, k + C :]
+        Pcs = _pair_ratio(edges, edges + rest)
+    final_ll[run], final_pi[run], final_P[run] = ll_prev, pis, Pcs
+    return final_ll, iters, converged, final_pi, final_P, trail
+
+
+def _run_histories(trail, runs, iters):
+    """Per-iteration log-likelihoods of the given runs from an ``_em_runs``
+    trail, (len(runs), T); row j is valid up to ``iters[runs[j]]``."""
+    out = np.empty((len(runs), int(iters[runs].max())))
+    pos = runs  # each run's row among the runs going
+    for t in range(out.shape[1]):
+        ll, going = trail[t]
+        out[:, t] = ll[pos]
+        if going is not None:
+            pos = (np.cumsum(going) - 1)[pos].clip(min=0)  # a stopped run's row is not read again
+    return out
+
+
+def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, extra_inits):
+    """Exact EM for a list of graphs on the same n, one seed per graph.
+
+    Every (graph, start) pair is an independent run.  Runs are processed in
+    groups whose temporaries stay under ``partitions._STATS_BYTES``; each
+    graph keeps its best start (the first on ties).
+    """
+    n = graphs[0].n
+    counts, hn, ho = labeling_stats(n, k, [g.edges() for g in graphs], exact_cap)
+    L, C = hn.shape
+    pis, Pcs = _em_starts(seeds, k, C, starts, extra_inits)
+    S = pis.shape[0] // len(graphs)
+    best: list[FitResult | None] = [None] * len(graphs)
+    # Per run: its statistics and at most as much again for its graph's,
+    # four (L,) work arrays and its trail.  The non-edges are kept apart
+    # from the edges: with the -1e300 floor of _safe_log, the rewrite
+    # ho*(log P - log(1-P)) + hn*log(1-P) cancels catastrophically.
+    J = k + 2 * C
+    for lo, hi in _budget_passes(pis.shape[0], 9 * max_iter + 8 * L * (2 * J + 4)):
+        g_lo, g_hi = lo // S, (hi - 1) // S + 1
+        edges = ho[g_lo:g_hi].transpose(0, 2, 1)
+        shared = np.broadcast_to(counts.T, (g_hi - g_lo, k, L))
+        stats = np.concatenate([shared, edges, hn.T - edges], axis=1).astype(float)
+        ll, iters, conv, pi, Pc, trail = _em_runs(
+            stats, np.arange(lo, hi) // S - g_lo, pis[lo:hi], Pcs[lo:hi], n, tol, max_iter
+        )
+        # each graph's best start in this group
+        tops = [
+            a + int(np.argmax(ll[a:b]))
+            for a, b in ((max(g * S, lo) - lo, min((g + 1) * S, hi) - lo) for g in range(g_lo, g_hi))
+        ]
+        history = _run_histories(trail, np.array(tops), iters)
+        for g, i, h in zip(range(g_lo, g_hi), tops, history):
+            if best[g] is None or ll[i] > best[g].log_marginal:
+                best[g] = FitResult(
+                    params=_finish_params(pi[i], _cells_to_matrix(Pc[i], k), k),
+                    log_marginal=float(ll[i]),
+                    iterations=int(iters[i]),
+                    converged=bool(conv[i]),
+                    estep="exact",
+                    history=tuple(h[: iters[i]].tolist()),
+                )
+    return best
 
 
 def _fit_meanfield(x, k, starts, tol, seed, max_iter, extra_inits):
@@ -395,6 +478,21 @@ def _fit_meanfield(x, k, starts, tol, seed, max_iter, extra_inits):
     )
 
 
+def _fit_one_block(x: Graph) -> FitResult:
+    """Closed-form k = 1 fit: the sup is at p_hat = edges / pairs."""
+    m_pairs = x.n * (x.n - 1) // 2
+    p_hat = x.edge_count / m_pairs
+    ll = float(m_pairs * gamma_fn(p_hat))
+    return FitResult(
+        params=SbmParams(k=1, pi=np.array([1.0]), P=np.array([[p_hat]])),
+        log_marginal=ll,
+        iterations=1,
+        converged=True,
+        estep="exact",
+        history=(ll,),
+    )
+
+
 def fit_marginal_ml(
     x: Graph,
     k: int,
@@ -416,20 +514,44 @@ def fit_marginal_ml(
     if x.n < 2:
         raise ValidationError("fit_marginal_ml requires n >= 2")
     if k == 1:
-        m_pairs = x.n * (x.n - 1) // 2
-        p_hat = x.edge_count / m_pairs
-        ll = float(m_pairs * gamma_fn(p_hat))
-        return FitResult(
-            params=SbmParams(k=1, pi=np.array([1.0]), P=np.array([[p_hat]])),
-            log_marginal=ll,
-            iterations=1,
-            converged=True,
-            estep="exact",
-            history=(ll,),
-        )
+        return _fit_one_block(x)
     if labeling_count(x.n, k) <= exact_cap:
-        return _fit_exact(x, k, starts, tol, seed, max_iter, exact_cap, extra_inits)
+        return _fit_exact([x], k, starts, tol, [seed], max_iter, exact_cap, extra_inits)[0]
     return _fit_meanfield(x, k, starts, tol, seed, max_iter, extra_inits)
+
+
+def fit_marginal_ml_batch(
+    graphs,
+    k: int,
+    seeds,
+    starts: int = 16,
+    tol: float = 1e-8,
+    max_iter: int = 500,
+    exact_cap: int = 200_000,
+) -> list[FitResult]:
+    """``fit_marginal_ml`` with exact EM on every graph of a list, all on
+    the same n, with one seed per graph; result g equals
+    ``fit_marginal_ml(graphs[g], k, starts, tol, seeds[g], max_iter,
+    exact_cap)`` up to rounding.
+
+    The graphs share the labeling enumeration and run as one batch.  There
+    is no mean-field fallback: k**n above ``exact_cap`` raises
+    InfeasibleSizeError.
+    """
+    graphs = list(graphs)
+    seeds = list(seeds)
+    if len(seeds) != len(graphs):
+        raise ValidationError(f"{len(graphs)} graphs but {len(seeds)} seeds")
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValidationError("fit_marginal_ml_batch requires graphs on the same number of nodes")
+    if n < 2:
+        raise ValidationError("fit_marginal_ml_batch requires n >= 2")
+    if k == 1:
+        return [_fit_one_block(g) for g in graphs]
+    return _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, ())
 
 
 def sparse_decomposition_parts(

@@ -55,13 +55,19 @@ def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cell_a, cell_b, cell_of
 
 
+def _budget_passes(rows: int, row_bytes: int):
+    """(lo, hi) row ranges whose temporaries, ``row_bytes`` per row, stay
+    under ``_STATS_BYTES`` (at least one row per range)."""
+    step = max(1, _STATS_BYTES // row_bytes)
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
 def _passes(rows: int, n: int, k: int, m: int):
     """(lo, hi) row ranges for counting labelings of n nodes into k blocks
     with m edges.  A row's footprint is its node slots plus up to four live
     int64 arrays per edge and per cell."""
-    step = max(1, _STATS_BYTES // (8 * (n + 4 * (m + k * (k + 1) // 2))))
-    for lo in range(0, rows, step):
-        yield lo, min(lo + step, rows)
+    return _budget_passes(rows, 8 * (n + 4 * (m + k * (k + 1) // 2)))
 
 
 def _cell_pairs(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +210,26 @@ def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
         yield (*_cell_pairs(codes, k), _cell_edges(codes, k, edges))
 
 
-def labeling_stats(n: int, k: int, edges: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialized statistics of every labeling in {1..k}^n (for exact EM)."""
+def labeling_stats(n: int, k: int, edge_sets, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Materialized statistics of every labeling in {1..k}^n (for exact EM).
+
+    Block sizes (L, k) and node pairs per cell (L, C) are shared by all
+    graphs on n nodes and counted once; edges per cell are stacked per
+    graph of ``edge_sets``, (G, L, C).
+    """
     total = labeling_count(n, k)
     if total > cap:
         raise InfeasibleSizeError(
             f"exact enumeration needs k**n = {total} labelings, above the cap {cap}"
         )
-    counts, hn, ho = (np.concatenate(part) for part in zip(*iter_labeling_stats(n, k, edges)))
+    C = k * (k + 1) // 2
+    counts = np.empty((total, k), dtype=np.int64)
+    hn = np.empty((total, C), dtype=np.int64)
+    ho = np.empty((len(edge_sets), total, C), dtype=np.int64)
+    m = max((len(edges) for edges in edge_sets), default=0)
+    for lo, hi in _passes(total, n, k, m):
+        codes = _decode_labelings(lo, hi, n, k)
+        counts[lo:hi], hn[lo:hi] = _cell_pairs(codes, k)
+        for g, edges in enumerate(edge_sets):
+            ho[g, lo:hi] = _cell_edges(codes, k, edges)
     return counts, hn, ho

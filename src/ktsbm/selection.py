@@ -100,6 +100,7 @@ class CriterionRow:
     score: float
     method: str
     std_error: float | None = None
+    ess: float | None = None
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,7 @@ def estimate_order(
                 score=kv.log_value - pen_k,
                 method=tag,
                 std_error=kv.std_error,
+                ess=kv.ess,
             )
         )
     scores = np.array([r.score for r in rows])

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ktsbm import PenaltySpec, estimate_order, read_graph_file
 from ktsbm.cli import main
 
@@ -116,7 +118,8 @@ def test_consistency_cli_and_determinism(tmp_path, capsys):
     assert resolved["output_path"] == str(tmp_path / "r1")
 
 
-def test_consistency_infeasible_instructs_mc(tmp_path, capsys):
+def test_consistency_infeasible_names_k_max(tmp_path, capsys):
+    # k_max=8 needs 4 189 550 partitions at n=12; k_max=4 fits under the cap
     cfg = tmp_path / "exp.json"
     cfg.write_text(
         json.dumps(
@@ -125,7 +128,7 @@ def test_consistency_infeasible_instructs_mc(tmp_path, capsys):
                 "pi0": [1.0],
                 "P0": [[0.5]],
                 "regime": "dense",
-                "n_grid": [60],
+                "n_grid": [12],
                 "trials": 1,
                 "epsilon": 1.0,
                 "k_max": 8,
@@ -137,7 +140,21 @@ def test_consistency_infeasible_instructs_mc(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "consistency", "--config", str(cfg), "--out", str(tmp_path / "r"))
     assert code == 3
-    assert "mc:" in err
+    assert "--k-max 4," in err
+    assert "--kt" not in err
+
+
+def test_estimate_mc_reports_ess(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("6 3\n1 2\n2 3\n4 5\n")
+    code, out, _ = run_cli(
+        capsys, "estimate", str(graph), "--k-max", "2", "--kt", "mc:500", "--out", str(tmp_path / "e")
+    )
+    assert code == 0
+    assert " ess=500.0" in out.splitlines()[1]  # k=1: every draw has the same weight
+    rows = json.loads((tmp_path / "e" / "estimate.json").read_text())["rows"]
+    assert rows[0]["ess"] == pytest.approx(500.0, rel=1e-9)
+    assert 1.0 <= rows[1]["ess"] <= 500.0
 
 
 def test_verify_gamma_cli(capsys):

@@ -179,6 +179,18 @@ def test_mc_zero_variance_at_k1():
     assert mc.log_value == pytest.approx(exact, abs=1e-12)
 
 
+def test_mc_ess_at_most_samples_and_full_at_k1():
+    rng = np.random.default_rng(10)
+    g = random_graph(rng, 8)
+    for k in (2, 3):
+        mc = log_kt_marginal_mc(g, k, 2000, seed=k)
+        assert 1.0 <= mc.ess <= mc.samples
+    # at k=1 every draw has the same weight K(x|z)
+    mc = log_kt_marginal_mc(g, 1, 500, seed=1)
+    assert mc.ess == pytest.approx(500, rel=1e-9)
+    assert log_kt_marginal_exact(g, 2).ess is None
+
+
 def test_mc_small_case_close_to_exact():
     g = Graph.from_edges(2, [(0, 1)])
     mc = log_kt_marginal_mc(g, 2, 10**5, seed=2)

@@ -13,7 +13,9 @@ from ktsbm import (
     SbmParams,
     ValidationError,
     complete_log_prob,
+    enumerate_graphs,
     fit_marginal_ml,
+    fit_marginal_ml_batch,
     gamma_fn,
     marginal_log_lik_exact,
     max_complete_log_lik,
@@ -296,7 +298,7 @@ def test_fit_beats_grid_oracle():
 
     from ktsbm.partitions import labeling_stats
 
-    counts, hn, ho = labeling_stats(4, 2, g.edges(), cap=100)
+    counts, hn, (ho,) = labeling_stats(4, 2, [g.edges()], cap=100)
     grid = np.arange(0.05, 0.951, 0.05)
     p1, c11, c12, c22 = [a.ravel() for a in np.meshgrid(grid, grid, grid, grid, indexing="ij")]
     logpi = np.log(np.column_stack([p1, 1 - p1]))
@@ -329,6 +331,57 @@ def test_fit_meanfield_flagged():
     assert exact2.estep == "exact"
     # both approximate the same sup; EM tolerance leaves ~1e-6 slack
     assert res.log_marginal <= exact2.log_marginal + 1e-4
+
+
+def _suite_fits(n, seed=0):
+    """The batched k=2 fits of prop31_suite over every graph on n nodes."""
+    graphs = list(enumerate_graphs(n))
+    seeds = [derive_seed(seed, n, 2, idx) for idx in range(len(graphs))]
+    return graphs, seeds, fit_marginal_ml_batch(graphs, 2, seeds)
+
+
+def test_fit_batch_matches_per_graph_fits():
+    graphs, seeds, fits = _suite_fits(4)
+    assert len(fits) == 64
+    for g, seed, fit in zip(graphs, seeds, fits):
+        single = fit_marginal_ml(g, 2, seed=seed)
+        assert fit.log_marginal == pytest.approx(single.log_marginal, abs=1e-12)
+        assert fit.converged == single.converged
+        assert fit.estep == "exact"
+        # exact EM never decreases the log-likelihood
+        assert np.all(np.diff(fit.history) >= -1e-9)
+        assert len(fit.history) == fit.iterations
+        assert fit.history[-1] == fit.log_marginal
+
+
+def test_fit_batch_does_not_depend_on_the_byte_budget(monkeypatch):
+    from ktsbm import likelihood, partitions
+
+    _, _, default = _suite_fits(4)
+    groups = []
+    em_runs = likelihood._em_runs
+    monkeypatch.setattr(likelihood, "_em_runs", lambda *a: groups.append(1) or em_runs(*a))
+    monkeypatch.setattr(partitions, "_STATS_BYTES", 32 << 10)
+    _, _, small = _suite_fits(4)
+    assert len(groups) > 64  # fewer runs per group than starts per graph
+    for want, got in zip(default, small):
+        assert got.log_marginal == pytest.approx(want.log_marginal, abs=1e-12)
+        assert got.converged == want.converged
+        assert got.iterations == want.iterations
+
+
+def test_fit_batch_validation():
+    g4 = Graph.from_edges(4, [(0, 1)])
+    g5 = Graph.from_edges(5, [(0, 1)])
+    assert fit_marginal_ml_batch([], 2, []) == []
+    with pytest.raises(ValidationError):
+        fit_marginal_ml_batch([g4, g5], 2, [0, 1])
+    with pytest.raises(ValidationError):
+        fit_marginal_ml_batch([g4], 2, [0, 1])
+    with pytest.raises(InfeasibleSizeError):
+        fit_marginal_ml_batch([g5], 2, [0], exact_cap=16)  # no mean-field fallback
+    (one_block,) = fit_marginal_ml_batch([g5], 1, [0])
+    assert one_block.log_marginal == fit_marginal_ml(g5, 1).log_marginal
 
 
 # ---------------------------------------------------- sparse decomposition

@@ -29,7 +29,7 @@ def test_counting_passes_do_not_change_results(monkeypatch):
             fresh.counts,
             fresh.hn,
             graph_cell_edges(table, g10.edges()),
-            labeling_stats(8, 3, g8.edges(), cap=10**6),
+            labeling_stats(8, 3, [g8.edges(), random_graph(8, 0.3, 3).edges()], cap=10**6),
             log_kt_marginal_mc(g10, 3, 3000, 11),
             marginal_log_lik_exact(params, g8),
         )
