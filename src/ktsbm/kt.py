@@ -7,7 +7,9 @@ functions, so the label marginal K(z), the conditional K(x|z), and the full
 marginal K(x) = sum_z K(z) K(x|z) are all computable exactly for small n.
 
 All Gamma arithmetic goes through log-Gamma, with ratios paired as lgamma
-differences; no raw factorials appear anywhere.
+differences; no raw factorials appear anywhere.  Every Gamma argument of a
+cell or label term is an integer plus 1/2 or plus 1, so per-partition and
+per-sample terms are gathered from one pair of log-Gamma tables.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError
 from .partitions import (
     PartitionTable,
     _cell_edges,
     _cell_pairs,
+    _log_gamma_tables,
     _passes,
     graph_cell_edges,
     require_partitions,
@@ -83,19 +86,30 @@ def log_kt_labels(z: LabelVector, k: int) -> float:
     )
 
 
-def _cell_log_pred(ho: np.ndarray, hn: np.ndarray) -> np.ndarray:
-    """Beta(1/2,1/2) predictive log-probability per condensed cell.
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) of a 1-d array, in scipy's max-separated form
+    log1p(sum_{a != max} e^{a - max} / m) + log m + max (m maxima), so that
+    values match ``scipy.special.logsumexp`` to the bit."""
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(divide="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    at_top = a == top
+    m = float(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
+
+
+def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
+    """Beta(1/2,1/2) predictive log-probability per condensed cell of a
+    graph on n nodes.
 
     For a cell with hn node pairs and ho edges the integral is
     Gamma(ho+1/2) Gamma(hn-ho+1/2) / (pi * Gamma(hn+1)); empty cells
     contribute 0.
     """
-    vals = (
-        gammaln(ho + 0.5)
-        + gammaln(hn - ho + 0.5)
-        - gammaln(hn + 1.0)
-        - _LOG_PI
-    )
+    ghalf, gone = _log_gamma_tables(n * (n - 1) // 2)
+    vals = ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
     return np.where(hn > 0, vals, 0.0)
 
 
@@ -103,15 +117,13 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     """log K(x|z): product over cells a <= b of the Beta(1/2,1/2) predictive."""
     codes = _label_index(z, x, k)[None, :]
     ho = _cell_edges(codes, k, x.edges())[0]
-    return float(_cell_log_pred(ho, _cell_pairs(codes, k)[1][0]).sum())
+    return float(_cell_log_pred(ho, _cell_pairs(codes, k)[1][0], x.n).sum())
 
 
 def _partition_base_terms(table: PartitionTable, ho: np.ndarray) -> np.ndarray:
     """k-independent part of log K(z) K(x|z) per canonical partition:
     sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition)."""
-    label_part = (gammaln(table.counts + 0.5) - _LG_HALF).sum(axis=1)
-    graph_part = _cell_log_pred(ho, table.hn).sum(axis=1)
-    return label_part + graph_part
+    return table.label_part + _cell_log_pred(ho, table.hn, table.n).sum(axis=1)
 
 
 def _log_kt_for_k(base: np.ndarray, nblocks: np.ndarray, n: int, k: int) -> float:
@@ -120,9 +132,10 @@ def _log_kt_for_k(base: np.ndarray, nblocks: np.ndarray, n: int, k: int) -> floa
     usable = nblocks <= k
     if not usable.any():
         raise ValidationError(f"no labeling uses at most k={k} blocks")
-    log_mult = gammaln(k + 1.0) - gammaln(k - nblocks[usable] + 1.0)
+    gone = _log_gamma_tables(max(n, k))[1]
+    log_mult = gone[k] - gone[k - nblocks[usable]]
     body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(n + k / 2.0)
-    return float(logsumexp(body))
+    return _logsumexp(body)
 
 
 def log_kt_marginal_exact(x: Graph, k: int, cap: int = KT_PARTITION_CAP) -> KtValue:
@@ -178,12 +191,12 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
         L = np.empty(size)
         for lo, hi in _passes(size, n, k, len(edges)):
             part = labels[lo:hi]
-            L[lo:hi] = _cell_log_pred(_cell_edges(part, k, edges), _cell_pairs(part, k)[1]).sum(axis=1)
-        log_l1.append(logsumexp(L))
-        log_l2.append(logsumexp(2.0 * L))
+            L[lo:hi] = _cell_log_pred(_cell_edges(part, k, edges), _cell_pairs(part, k)[1], n).sum(axis=1)
+        log_l1.append(_logsumexp(L))
+        log_l2.append(_logsumexp(2.0 * L))
         done += size
-    a = logsumexp(np.array(log_l1))
-    b = logsumexp(np.array(log_l2))
+    a = _logsumexp(np.array(log_l1))
+    b = _logsumexp(np.array(log_l2))
     log_mean = a - np.log(samples)
     rel_var = np.expm1(b - 2.0 * a + np.log(samples)) / max(samples - 1, 1)
     std_error = float(np.sqrt(max(rel_var, 0.0)))

@@ -331,8 +331,7 @@ def _em_runs(stats, graph_of, pis, Pcs, n, tol, max_iter):
         total = e.sum(axis=1)
         ll = np.log(total) + top
         trail.append([ll, None])
-        with np.errstate(invalid="ignore"):
-            done = np.abs(ll - ll_prev) / np.maximum(np.abs(ll_prev), 1e-12) < tol
+        done = np.abs(ll - ll_prev) < tol * np.maximum(np.abs(ll_prev), 1.0)
         ll_prev = ll
         if done.any():
             stop = run[done]
@@ -461,7 +460,7 @@ def _fit_meanfield(x, k, starts, tol, seed, max_iter, extra_inits):
             entropy = -float(xlogy(q, q).sum())
             elbo = lik + entropy
             history.append(elbo)
-            if abs(elbo - elbo_prev) < tol * max(abs(elbo_prev), 1e-12):
+            if abs(elbo - elbo_prev) < tol * max(abs(elbo_prev), 1.0):
                 converged = True
                 break
             elbo_prev = elbo

@@ -17,7 +17,8 @@ node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
 enumeration, Monte Carlo label draws, single labelings) counts them with
 the same two kernels, ``_cell_pairs`` for block sizes and hn and
 ``_cell_edges`` for ho, in passes whose temporaries stay under the byte
-budget ``_STATS_BYTES``, whatever the edge count.
+budget ``_STATS_BYTES``, whatever the edge count.  The module also keeps the
+one pair of log-Gamma tables that the KT terms gather from.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import InfeasibleSizeError
 
@@ -43,16 +45,41 @@ __all__ = [
 _STATS_BYTES = 64 << 20
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condensed upper-triangle cell indexing for an m x m symmetric matrix.
 
-    Returns (cell_a, cell_b, cell_of) with cell_of[a, b] the flat cell index.
+    Returns (cell_a, cell_b, cell_of) with cell_of[a, b] the flat cell index;
+    cached per m, so the arrays are read-only.
     """
     cell_a, cell_b = np.triu_indices(m)
     cell_of = np.zeros((m, m), dtype=np.int64)
     cell_of[cell_a, cell_b] = np.arange(cell_a.size)
     cell_of[cell_b, cell_a] = cell_of[cell_a, cell_b]
-    return cell_a, cell_b, cell_of
+    return _frozen(cell_a, cell_b, cell_of)
+
+
+_LOG_GAMMA = _frozen(np.empty(0), np.empty(0))
+
+
+def _log_gamma_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables (gammaln(i + 1/2), gammaln(i + 1)) for i = 0..top at
+    least.  Every Gamma argument of a KT term is such a value, so all of
+    them are gathered from this one pair, grown (doubling) on demand.  A
+    value does not depend on the table's size, so a thread that replaces the
+    pair with a smaller one only costs another build."""
+    global _LOG_GAMMA
+    tables = _LOG_GAMMA
+    if tables[0].size <= top:
+        i = np.arange(max(top + 1, 2 * tables[0].size), dtype=np.float64)
+        tables = _LOG_GAMMA = _frozen(gammaln(i + 0.5), gammaln(i + 1.0))
+    return tables
 
 
 def _budget_passes(rows: int, row_bytes: int):
@@ -135,7 +162,7 @@ def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class PartitionTable:
     """Canonical labelings of n nodes with at most m_max blocks, plus the
-    graph-independent parts of their statistics."""
+    graph-independent parts of their statistics and KT terms."""
 
     n: int
     m_max: int
@@ -144,6 +171,7 @@ class PartitionTable:
     counts: np.ndarray     # (P, m_max) int64 block sizes
     hn: np.ndarray         # (P, C) int64 pairs per condensed cell
     cell_a: np.ndarray     # (C,) first block of each condensed cell
+    label_part: np.ndarray  # (P,) sum_a [lgamma(n_a+1/2) - lgamma(1/2)]
 
     @property
     def size(self) -> int:
@@ -160,6 +188,7 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     hn = np.empty((P, cell_a.size), dtype=np.int64)
     for lo, hi in _passes(P, n, m_max, 0):
         counts[lo:hi], hn[lo:hi] = _cell_pairs(codes[lo:hi], m_max)
+    ghalf = _log_gamma_tables(n)[0]
     return PartitionTable(
         n=n,
         m_max=m_max,
@@ -168,6 +197,7 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
         counts=counts,
         hn=hn,
         cell_a=cell_a,
+        label_part=(ghalf[counts] - ghalf[0]).sum(axis=1),
     )
 
 

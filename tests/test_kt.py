@@ -110,7 +110,7 @@ def test_kt_marginal_normalization_n3(k):
 
 def test_kt_marginal_matches_unreduced_enumeration():
     rng = np.random.default_rng(5)
-    for n, k in [(4, 2), (4, 3), (5, 2)]:
+    for n, k in [(4, 2), (4, 3), (5, 2), (2, 4), (3, 5)]:  # k > n: multiplicities past n
         g = random_graph(rng, n)
         vals = [
             log_kt_labels(LabelVector(lab, k), k)
@@ -162,9 +162,71 @@ def test_cell_ratio_bound():
         sup_log = (ho * math.log(p) if ho else 0.0) + (
             (hn - ho) * math.log(1 - p) if hn - ho else 0.0
         )
-        ratio = sup_log - float(_cell_log_pred(np.array([ho]), np.array([hn]))[0])
+        ratio = sup_log - float(_cell_log_pred(np.array([ho]), np.array([hn]), 10)[0])
         bound = gammaln(0.5) + gammaln(hn + 1.0) - gammaln(hn + 0.5)
         assert ratio <= bound + 1e-9
+
+
+# ------------------------------------------------------ log-Gamma tables
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 30])
+def test_cell_log_pred_matches_gammaln_bitwise(n):
+    from ktsbm.kt import _LOG_PI, _cell_log_pred
+
+    top = n * (n - 1) // 2
+    hn, ho = np.tril_indices(top + 1)  # every 0 <= ho <= hn <= top
+    direct = gammaln(ho + 0.5) + gammaln(hn - ho + 0.5) - gammaln(hn + 1.0) - _LOG_PI
+    want = np.where(hn > 0, direct, 0.0)
+    assert np.array_equal(_cell_log_pred(ho, hn, n), want)
+
+
+def test_private_logsumexp_matches_scipy_bitwise():
+    from ktsbm.kt import _logsumexp
+
+    rng = np.random.default_rng(10)
+    vectors = [rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=rng.integers(1, 3000)) for _ in range(300)]
+    vectors += [
+        np.array([-3.5]),
+        np.array([2.0, 2.0, -1.0, 2.0]),  # tied maxima
+        np.full(7, -12.25),
+        rng.uniform(-1e3, 0.0, size=500),  # spread of 1e3
+        np.array([-np.inf, -1.0, -np.inf]),
+        np.full(3, -np.inf),
+    ]
+    for v in vectors:
+        v = v.copy()
+        v[rng.integers(0, v.size, size=v.size // 7)] = v.max()  # more ties
+        assert _logsumexp(v) == logsumexp(v)
+
+
+@pytest.mark.parametrize("n,m_max", [(1, 1), (6, 3), (9, 9)])
+def test_partition_table_label_part(n, m_max):
+    from ktsbm.partitions import partition_table
+
+    table = partition_table(n, m_max)
+    want = (gammaln(table.counts + 0.5) - gammaln(0.5)).sum(axis=1)
+    assert np.array_equal(table.label_part, want)
+
+
+def test_estimate_gathers_every_per_partition_term(monkeypatch):
+    # per-partition work must not slip back to gammaln: only scalars and
+    # per-k vectors may reach it once the partition table is built
+    from ktsbm import PenaltySpec, estimate_order, kt
+    from ktsbm.partitions import partition_table
+
+    k_max = 4
+    g = random_graph(np.random.default_rng(11), 10)
+    partition_table(10, k_max)
+    sizes = []
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return gammaln(x, *args, **kwargs)
+
+    monkeypatch.setattr(kt, "gammaln", counting)
+    estimate_order(g, PenaltySpec(), k_max)
+    assert sizes and max(sizes) <= k_max
 
 
 # ----------------------------------------------------------- Monte Carlo

@@ -333,6 +333,18 @@ def test_fit_meanfield_flagged():
     assert res.log_marginal <= exact2.log_marginal + 1e-4
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("complete", [False, True])
+def test_fit_converges_on_empty_and_complete_graphs(n, complete):
+    # the sup is 0 there, so the log-likelihood sits at rounding noise; the
+    # convergence test needs an absolute floor to stop on it
+    g = Graph(n, np.full(n * (n - 1) // 2, complete))
+    for seed in range(4):
+        fit = fit_marginal_ml(g, 2, seed=seed, max_iter=500)
+        assert fit.converged and fit.iterations < 20
+        assert fit.log_marginal == pytest.approx(0.0, abs=1e-12)
+
+
 def _suite_fits(n, seed=0):
     """The batched k=2 fits of prop31_suite over every graph on n nodes."""
     graphs = list(enumerate_graphs(n))

@@ -5,7 +5,7 @@ import pytest
 
 from ktsbm import Graph, SbmParams, log_kt_marginal_mc, marginal_log_lik_exact, sample_sbm
 from ktsbm import partitions
-from ktsbm.partitions import graph_cell_edges, labeling_stats, partition_table
+from ktsbm.partitions import cell_layout, graph_cell_edges, labeling_stats, partition_table
 
 
 def random_graph(n, p, seed):
@@ -59,3 +59,13 @@ def test_mc_memory_is_bounded_by_the_byte_budget():
     finally:
         tracemalloc.stop()
     assert peak < 160 * 2**20
+
+
+def test_cell_layout_is_shared_and_read_only():
+    cell_a, cell_b, cell_of = cell_layout(4)
+    assert cell_layout(4)[2] is cell_of
+    assert np.array_equal(cell_of[cell_a, cell_b], np.arange(10))
+    assert np.array_equal(cell_of, cell_of.T)
+    for a in (cell_a, cell_b, cell_of):
+        with pytest.raises(ValueError):
+            a[0] = 1
