@@ -21,7 +21,6 @@ from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError
 from .partitions import (
-    PartitionTable,
     _cell_edges,
     _cell_pairs,
     _log_gamma_tables,
@@ -105,12 +104,11 @@ def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
     graph on n nodes.
 
     For a cell with hn node pairs and ho edges the integral is
-    Gamma(ho+1/2) Gamma(hn-ho+1/2) / (pi * Gamma(hn+1)); empty cells
-    contribute 0.
+    Gamma(ho+1/2) Gamma(hn-ho+1/2) / (pi * Gamma(hn+1)); an empty cell
+    gives 2 lgamma(1/2) - lgamma(1) - log pi, exactly 0.
     """
     ghalf, gone = _log_gamma_tables(n * (n - 1) // 2)
-    vals = ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
-    return np.where(hn > 0, vals, 0.0)
+    return ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
 
 
 def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
@@ -120,36 +118,35 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     return float(_cell_log_pred(ho, _cell_pairs(codes, k)[1][0], x.n).sum())
 
 
-def _partition_base_terms(table: PartitionTable, ho: np.ndarray) -> np.ndarray:
-    """k-independent part of log K(z) K(x|z) per canonical partition:
-    sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition)."""
-    return table.label_part + _cell_log_pred(ho, table.hn, table.n).sum(axis=1)
+def _log_kt_exact(x: Graph, ks, cap: int) -> list[KtValue]:
+    """Exact log K_k(x) for every k of ``ks`` from one partition table with
+    at most max(ks) blocks.
 
-
-def _log_kt_for_k(base: np.ndarray, nblocks: np.ndarray, n: int, k: int) -> float:
-    """Assemble log K_k(x) from partition base terms: partitions with m <= k
-    blocks enter with multiplicity k!/(k-m)! (distinct value assignments)."""
-    usable = nblocks <= k
-    if not usable.any():
-        raise ValidationError(f"no labeling uses at most k={k} blocks")
-    gone = _log_gamma_tables(max(n, k))[1]
-    log_mult = gone[k] - gone[k - nblocks[usable]]
-    body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(n + k / 2.0)
-    return _logsumexp(body)
+    Per canonical partition, the k-independent part of log K(z) K(x|z) is
+    sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition); for each
+    k, partitions with m <= k blocks enter with multiplicity k!/(k-m)!
+    (distinct value assignments).
+    """
+    n = x.n
+    table = require_partitions(n, min(max(ks), n), cap)
+    ho = graph_cell_edges(table, x.edges())
+    base = table.label_part + _cell_log_pred(ho, table.hn, n).sum(axis=1)
+    gone = _log_gamma_tables(max(n, *ks))[1]
+    values = []
+    for k in ks:
+        usable = table.nblocks <= k
+        if not usable.any():
+            raise ValidationError(f"no labeling uses at most k={k} blocks")
+        log_mult = gone[k] - gone[k - table.nblocks[usable]]
+        body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(n + k / 2.0)
+        values.append(KtValue(log_value=min(_logsumexp(body), 0.0), method="exact", k=k, n=n))
+    return values
 
 
 def log_kt_marginal_exact(x: Graph, k: int, cap: int = KT_PARTITION_CAP) -> KtValue:
     """log K(x) = log sum_z K(z) K(x|z), orbit-reduced over label
     permutations with exact multiplicity weights."""
-    table = require_partitions(x.n, min(k, x.n), cap)
-    ho = graph_cell_edges(table, x.edges())
-    base = _partition_base_terms(table, ho)
-    return KtValue(
-        log_value=min(_log_kt_for_k(base, table.nblocks, x.n, k), 0.0),
-        method="exact",
-        k=k,
-        n=x.n,
-    )
+    return _log_kt_exact(x, [k], cap)[0]
 
 
 def _polya_urn_labels(rng, n: int, k: int, size: int) -> np.ndarray:

@@ -19,9 +19,9 @@ from scipy.special import logsumexp, xlogy
 from .errors import InfeasibleSizeError, ValidationError
 from .partitions import (
     _budget_passes,
+    cell_layout,
     graph_cell_edges,
     iter_labeling_stats,
-    labeling_count,
     labeling_stats,
     require_partitions,
 )
@@ -123,13 +123,7 @@ def max_complete_log_lik(z: LabelVector, x: Graph, k: int) -> float:
     """sup over (pi, P) of log P(z, x): the plug-in value
     n sum_a pihat_a log pihat_a + 1/2 sum_ab n_ab gamma(Phat_ab)."""
     s = compute_stats(z, x, k)
-    n = len(z)
-    label_term = xlogy(s.n_a, s.n_a / n).sum()
-    ratio = _pair_ratio(s.O_ab, s.n_ab)
-    edge_term = 0.5 * (
-        xlogy(s.O_ab, ratio).sum() + xlogy(s.n_ab - s.O_ab, 1.0 - ratio).sum()
-    )
-    return float(label_term + edge_term)
+    return _objective_full(s.n_a, s.O_ab, len(z))
 
 
 def _objective_cells(counts: np.ndarray, hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
@@ -141,6 +135,7 @@ def _objective_cells(counts: np.ndarray, hn: np.ndarray, ho: np.ndarray, n: int)
 
 
 def _objective_full(n_a: np.ndarray, O: np.ndarray, n: int) -> float:
+    """Plug-in likelihood from block sizes and ordered-pair edge counts."""
     n_ab = np.outer(n_a, n_a)
     np.fill_diagonal(n_ab, n_a * (n_a - 1))
     ratio = _pair_ratio(O, n_ab)
@@ -233,15 +228,14 @@ def marginal_log_lik_exact(params: SbmParams, x: Graph, cap: int = ENUM_CAP) -> 
     """log P(x) = log sum_z P(z, x) by stable enumeration over all k**n
     labelings (cap enforced)."""
     n, k = x.n, params.k
-    total = labeling_count(n, k)
-    if total > cap:
-        raise InfeasibleSizeError(f"k**n = {total} labelings exceed the cap {cap}")
+    if k**n > cap:
+        raise InfeasibleSizeError(f"k**n = {k**n} labelings exceed the cap {cap}")
     log_pi = _safe_log(params.pi)
-    cell_a, cell_b = np.triu_indices(k)
+    cell_a, cell_b, _ = cell_layout(k)
     logP = _safe_log(params.P[cell_a, cell_b])
     log1mP = _safe_log(1.0 - params.P[cell_a, cell_b])
     chunks = []
-    for counts, hn, ho in iter_labeling_stats(n, k, x.edges()):
+    for counts, hn, (ho,) in iter_labeling_stats(n, k, [x.edges()]):
         ll = counts @ log_pi + ho @ logP + (hn - ho) @ log1mP
         chunks.append(logsumexp(ll))
     return float(logsumexp(np.array(chunks)))
@@ -251,9 +245,9 @@ def marginal_log_lik_exact(params: SbmParams, x: Graph, cap: int = ENUM_CAP) -> 
 class FitResult:
     """Outcome of the iterative marginal-likelihood maximization.
 
-    ``estep`` records whether responsibilities were exact (full enumeration)
-    or mean-field; ``history`` is the per-iteration objective trace of the
-    winning start (log-likelihood for exact, ELBO for mean-field).
+    ``estep`` names the E-step; it is always "exact" (responsibilities by
+    full enumeration, no mean-field approximation).  ``history`` is the
+    per-iteration log-likelihood trace of the winning start.
     """
 
     params: SbmParams
@@ -264,13 +258,8 @@ class FitResult:
     history: tuple[float, ...]
 
 
-def _as_cells(P: np.ndarray, k: int) -> np.ndarray:
-    cell_a, cell_b = np.triu_indices(k)
-    return np.asarray(P, dtype=float)[cell_a, cell_b]
-
-
 def _cells_to_matrix(cells: np.ndarray, k: int) -> np.ndarray:
-    cell_a, cell_b = np.triu_indices(k)
+    cell_a, cell_b, _ = cell_layout(k)
     P = np.zeros((k, k), dtype=float)
     P[cell_a, cell_b] = cells
     P[cell_b, cell_a] = cells
@@ -283,18 +272,14 @@ def _finish_params(pi: np.ndarray, P: np.ndarray, k: int) -> SbmParams:
     return SbmParams(k=k, pi=pi, P=np.clip(P, 0.0, 1.0))
 
 
-def _em_starts(seeds, k, C, starts, extra_inits):
+def _em_starts(seeds, k, C, starts):
     """Initial (pi, P cells) of every (graph, start) run, graph-major: each
-    graph's random starts come from its own seed's stream, then the
-    ``extra_inits``."""
+    graph's random starts come from its own seed's stream."""
     pis, Pcs = [], []
     for seed in seeds:
         rng = rng_from_seed(derive_seed(seed, 0xE3))
         pis.append(rng.dirichlet(np.ones(k), size=starts))
         Pcs.append(rng.uniform(0.05, 0.95, size=(starts, C)))
-        for pi0, P0 in extra_inits:
-            pis.append(np.asarray(pi0, dtype=float)[None, :])
-            Pcs.append(_as_cells(np.asarray(P0, dtype=float), k)[None, :])
     return np.vstack(pis), np.vstack(Pcs)
 
 
@@ -364,7 +349,7 @@ def _run_histories(trail, runs, iters):
     return out
 
 
-def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, extra_inits):
+def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap):
     """Exact EM for a list of graphs on the same n, one seed per graph.
 
     Every (graph, start) pair is an independent run.  Runs are processed in
@@ -374,8 +359,7 @@ def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, extra_inits):
     n = graphs[0].n
     counts, hn, ho = labeling_stats(n, k, [g.edges() for g in graphs], exact_cap)
     L, C = hn.shape
-    pis, Pcs = _em_starts(seeds, k, C, starts, extra_inits)
-    S = pis.shape[0] // len(graphs)
+    pis, Pcs = _em_starts(seeds, k, C, starts)
     best: list[FitResult | None] = [None] * len(graphs)
     # Per run: its statistics and at most as much again for its graph's,
     # four (L,) work arrays and its trail.  The non-edges are kept apart
@@ -383,17 +367,19 @@ def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, extra_inits):
     # ho*(log P - log(1-P)) + hn*log(1-P) cancels catastrophically.
     J = k + 2 * C
     for lo, hi in _budget_passes(pis.shape[0], 9 * max_iter + 8 * L * (2 * J + 4)):
-        g_lo, g_hi = lo // S, (hi - 1) // S + 1
+        g_lo, g_hi = lo // starts, (hi - 1) // starts + 1
         edges = ho[g_lo:g_hi].transpose(0, 2, 1)
         shared = np.broadcast_to(counts.T, (g_hi - g_lo, k, L))
         stats = np.concatenate([shared, edges, hn.T - edges], axis=1).astype(float)
         ll, iters, conv, pi, Pc, trail = _em_runs(
-            stats, np.arange(lo, hi) // S - g_lo, pis[lo:hi], Pcs[lo:hi], n, tol, max_iter
+            stats, np.arange(lo, hi) // starts - g_lo, pis[lo:hi], Pcs[lo:hi], n, tol, max_iter
         )
         # each graph's best start in this group
         tops = [
             a + int(np.argmax(ll[a:b]))
-            for a, b in ((max(g * S, lo) - lo, min((g + 1) * S, hi) - lo) for g in range(g_lo, g_hi))
+            for a, b in (
+                (max(g * starts, lo) - lo, min((g + 1) * starts, hi) - lo) for g in range(g_lo, g_hi)
+            )
         ]
         history = _run_histories(trail, np.array(tops), iters)
         for g, i, h in zip(range(g_lo, g_hi), tops, history):
@@ -407,74 +393,6 @@ def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, extra_inits):
                     history=tuple(h[: iters[i]].tolist()),
                 )
     return best
-
-
-def _fit_meanfield(x, k, starts, tol, seed, max_iter, extra_inits):
-    n = x.n
-    adj = x.adjacency().astype(float)
-    rng = rng_from_seed(derive_seed(seed, 0xBF))
-    results = []
-    n_runs = starts + len(extra_inits)
-    for s in range(n_runs):
-        q = rng.dirichlet(np.ones(k), size=n)
-        if s >= starts:
-            pi0, P0 = extra_inits[s - starts]
-            pi = np.maximum(np.asarray(pi0, dtype=float), 1e-12)
-            pi = pi / pi.sum()
-            P = np.asarray(P0, dtype=float)
-        else:
-            pi = rng.dirichlet(np.ones(k))
-            P = _cells_to_matrix(rng.uniform(0.05, 0.95, size=k * (k + 1) // 2), k)
-        elbo_prev = -np.inf
-        history = []
-        converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            logpi = _safe_log(pi)
-            logP = _safe_log(P)
-            log1mP = _safe_log(1.0 - P)
-            total = q.sum(axis=0)
-            for i in range(n):
-                t1 = adj[i] @ q
-                t0 = total - t1 - q[i]
-                r = logpi + logP @ t1 + log1mP @ t0
-                r -= r.max()
-                qi = np.exp(r)
-                qi /= qi.sum()
-                total += qi - q[i]
-                q[i] = qi
-            s_tot = q.sum(axis=0)
-            pi = s_tot / n
-            EO = q.T @ adj @ q
-            Enab = np.outer(s_tot, s_tot) - q.T @ q
-            P = _pair_ratio(EO, Enab)
-            # ELBO at the updated (pi, P)
-            logpi = _safe_log(pi)
-            logP = _safe_log(P)
-            log1mP = _safe_log(1.0 - P)
-            lik = (q @ logpi).sum() + 0.5 * float(
-                np.sum(adj * (q @ logP @ q.T))
-                + np.sum((1.0 - adj) * (q @ log1mP @ q.T))
-                - np.trace(q @ log1mP @ q.T)
-            )
-            entropy = -float(xlogy(q, q).sum())
-            elbo = lik + entropy
-            history.append(elbo)
-            if abs(elbo - elbo_prev) < tol * max(abs(elbo_prev), 1.0):
-                converged = True
-                break
-            elbo_prev = elbo
-        results.append((history[-1], s, pi, P, it, converged, tuple(history)))
-    best = max(results, key=lambda t: (t[0], -t[1]))
-    _, _, pi, P, it, converged, trace = best
-    return FitResult(
-        params=_finish_params(pi, P, k),
-        log_marginal=float(trace[-1]),
-        iterations=it,
-        converged=converged,
-        estep="meanfield",
-        history=trace,
-    )
 
 
 def _fit_one_block(x: Graph) -> FitResult:
@@ -500,23 +418,16 @@ def fit_marginal_ml(
     seed: int = 0,
     max_iter: int = 500,
     exact_cap: int = 200_000,
-    extra_inits: tuple = (),
 ) -> FitResult:
     """Approximate sup over (pi, P) of the marginal log-likelihood log P(x).
 
-    EM with exact responsibilities when k**n is under ``exact_cap`` (the
-    per-iteration log-marginal trace is then non-decreasing), mean-field
-    variational responsibilities above it (the reported value is the ELBO,
-    a lower bound).  Best of ``starts`` seeded random initializations plus
-    any ``extra_inits`` (pi, P) pairs.
+    Exact EM, best of ``starts`` seeded random initializations; the
+    per-iteration log-marginal trace of a run is non-decreasing.  The
+    E-step enumerates all k**n labelings, so k**n above ``exact_cap``
+    raises InfeasibleSizeError.  This is ``fit_marginal_ml_batch`` on the
+    one graph.
     """
-    if x.n < 2:
-        raise ValidationError("fit_marginal_ml requires n >= 2")
-    if k == 1:
-        return _fit_one_block(x)
-    if labeling_count(x.n, k) <= exact_cap:
-        return _fit_exact([x], k, starts, tol, [seed], max_iter, exact_cap, extra_inits)[0]
-    return _fit_meanfield(x, k, starts, tol, seed, max_iter, extra_inits)
+    return fit_marginal_ml_batch([x], k, [seed], starts, tol, max_iter, exact_cap)[0]
 
 
 def fit_marginal_ml_batch(
@@ -528,13 +439,12 @@ def fit_marginal_ml_batch(
     max_iter: int = 500,
     exact_cap: int = 200_000,
 ) -> list[FitResult]:
-    """``fit_marginal_ml`` with exact EM on every graph of a list, all on
-    the same n, with one seed per graph; result g equals
-    ``fit_marginal_ml(graphs[g], k, starts, tol, seeds[g], max_iter,
-    exact_cap)`` up to rounding.
+    """``fit_marginal_ml`` on every graph of a list, all on the same n, with
+    one seed per graph.
 
-    The graphs share the labeling enumeration and run as one batch.  There
-    is no mean-field fallback: k**n above ``exact_cap`` raises
+    The graphs share the labeling enumeration and run as one batch; each
+    (graph, start) pair is still an independent EM run.  k = 1 has a
+    closed form; for k > 1, k**n above ``exact_cap`` raises
     InfeasibleSizeError.
     """
     graphs = list(graphs)
@@ -550,7 +460,7 @@ def fit_marginal_ml_batch(
         raise ValidationError("fit_marginal_ml_batch requires n >= 2")
     if k == 1:
         return [_fit_one_block(g) for g in graphs]
-    return _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap, ())
+    return _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap)
 
 
 def sparse_decomposition_parts(

@@ -219,35 +219,35 @@ def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
     return ho
 
 
-def labeling_count(n: int, k: int) -> int:
-    return k ** n
-
-
 def _decode_labelings(lo: int, hi: int, n: int, k: int) -> np.ndarray:
     idx = np.arange(lo, hi, dtype=np.int64)
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] // powers) % k).astype(np.int8)
 
 
-def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
+def iter_labeling_stats(n: int, k: int, edge_sets):
     """Yield (counts, hn, ho) over all k**n labelings, one budgeted pass at
     a time.
 
-    counts is (L, k); hn/ho are (L, C) in the condensed cell layout of k.
+    counts is (L, k) and hn (L, C) in the condensed cell layout of k; ho
+    stacks the edges per cell of each graph of ``edge_sets``, (G, L, C).
     """
-    for lo, hi in _passes(labeling_count(n, k), n, k, len(edges)):
+    m = max((len(edges) for edges in edge_sets), default=0)
+    for lo, hi in _passes(k**n, n, k, m):
         codes = _decode_labelings(lo, hi, n, k)
-        yield (*_cell_pairs(codes, k), _cell_edges(codes, k, edges))
+        ho = np.empty((len(edge_sets), hi - lo, k * (k + 1) // 2), dtype=np.int64)
+        for g, edges in enumerate(edge_sets):
+            ho[g] = _cell_edges(codes, k, edges)
+        yield (*_cell_pairs(codes, k), ho)
 
 
 def labeling_stats(n: int, k: int, edge_sets, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialized statistics of every labeling in {1..k}^n (for exact EM).
-
-    Block sizes (L, k) and node pairs per cell (L, C) are shared by all
-    graphs on n nodes and counted once; edges per cell are stacked per
-    graph of ``edge_sets``, (G, L, C).
+    """Materialized ``iter_labeling_stats`` of every labeling in {1..k}^n
+    (for exact EM): block sizes (L, k) and node pairs per cell (L, C),
+    shared by all graphs on n nodes, and edges per cell stacked per graph
+    of ``edge_sets``, (G, L, C).
     """
-    total = labeling_count(n, k)
+    total = k**n
     if total > cap:
         raise InfeasibleSizeError(
             f"exact enumeration needs k**n = {total} labelings, above the cap {cap}"
@@ -256,10 +256,9 @@ def labeling_stats(n: int, k: int, edge_sets, cap: int) -> tuple[np.ndarray, np.
     counts = np.empty((total, k), dtype=np.int64)
     hn = np.empty((total, C), dtype=np.int64)
     ho = np.empty((len(edge_sets), total, C), dtype=np.int64)
-    m = max((len(edges) for edges in edge_sets), default=0)
-    for lo, hi in _passes(total, n, k, m):
-        codes = _decode_labelings(lo, hi, n, k)
-        counts[lo:hi], hn[lo:hi] = _cell_pairs(codes, k)
-        for g, edges in enumerate(edge_sets):
-            ho[g, lo:hi] = _cell_edges(codes, k, edges)
+    lo = 0
+    for pass_counts, pass_hn, pass_ho in iter_labeling_stats(n, k, edge_sets):
+        hi = lo + len(pass_counts)
+        counts[lo:hi], hn[lo:hi], ho[:, lo:hi] = pass_counts, pass_hn, pass_ho
+        lo = hi
     return counts, hn, ho

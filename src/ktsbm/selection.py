@@ -18,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kt
 from .errors import ValidationError
-from .kt import (
-    KT_PARTITION_CAP,
-    KtValue,
-    _log_kt_for_k,
-    _partition_base_terms,
-    log_kt_marginal_mc,
-    prop31_bound,
-)
+from .kt import KT_PARTITION_CAP, log_kt_marginal_mc, prop31_bound
 from .likelihood import ENUM_CAP, gamma_fn, max_complete_log_lik, profile_label_search, tau_fn
-from .partitions import graph_cell_edges, require_partitions
 from .sbm import Graph, LabelVector, _check_symmetric_unit
 from .seeds import derive_seed
 
@@ -146,17 +139,7 @@ def estimate_order(
     kind, samples = parse_kt_method(kt_method)
     n = x.n
     if kind == "exact":
-        table = require_partitions(n, min(k_max, n), cap)
-        base = _partition_base_terms(table, graph_cell_edges(table, x.edges()))
-        kt_values = [
-            KtValue(
-                log_value=min(_log_kt_for_k(base, table.nblocks, n, k), 0.0),
-                method="exact",
-                k=k,
-                n=n,
-            )
-            for k in range(1, k_max + 1)
-        ]
+        kt_values = kt._log_kt_exact(x, range(1, k_max + 1), cap)
     else:
         kt_values = [
             log_kt_marginal_mc(x, k, samples, derive_seed(seed, k))

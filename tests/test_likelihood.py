@@ -308,29 +308,13 @@ def test_fit_beats_grid_oracle():
     assert res.log_marginal >= ll.max() - 1e-2
 
 
-def test_fit_monotone_in_dimension_with_embedding():
-    rng = np.random.default_rng(21)
-    _, g, _ = random_instance(rng, 6, 2)
-    res2 = fit_marginal_ml(g, 2, starts=8, seed=3)
-    pi3 = np.append(res2.params.pi, 0.0)
-    P3 = np.full((3, 3), 0.5)
-    P3[:2, :2] = res2.params.P
-    res3 = fit_marginal_ml(g, 3, starts=8, seed=3, extra_inits=[(pi3, P3)])
-    assert res3.log_marginal >= res2.log_marginal - 1e-8
-
-
-def test_fit_meanfield_flagged():
+def test_fit_above_exact_cap_raises():
+    # the E-step enumerates k**n labelings; above the cap there is no
+    # approximate fallback
     params = SbmParams(k=2, pi=[0.5, 0.5], P=[[0.9, 0.1], [0.1, 0.9]])
     _, g = sample_sbm(params, 12, 7)
-    res = fit_marginal_ml(g, 2, starts=4, seed=4, exact_cap=1000)  # 2**12 > cap
-    assert res.estep == "meanfield"
-    assert res.log_marginal <= 0.0
-    # the ELBO is a lower bound on the exact marginal at the same params
-    assert res.log_marginal <= marginal_log_lik_exact(res.params, g) + 1e-9
-    exact2 = fit_marginal_ml(g, 2, starts=8, seed=5)
-    assert exact2.estep == "exact"
-    # both approximate the same sup; EM tolerance leaves ~1e-6 slack
-    assert res.log_marginal <= exact2.log_marginal + 1e-4
+    with pytest.raises(InfeasibleSizeError):
+        fit_marginal_ml(g, 2, exact_cap=1000)  # 2**12 > cap
 
 
 @pytest.mark.parametrize("n", [4, 5])
