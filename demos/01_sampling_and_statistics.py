@@ -3,8 +3,8 @@
 Sampling stochastic block models and reading off their block statistics.
 
 Walks through: dense sampling, the sparse power-law schedule, determinism,
-and the ordered-pair counters that every likelihood in this package is
-built from.
+and the ordered-pair view of the block statistics (the likelihoods in this
+package read the same counts as condensed cells a <= b).
 """
 
 import numpy as np

@@ -38,12 +38,12 @@ for n in config.n_grid:
     over = sum(r.k_hat > config.k0 for r in rs) / len(rs)
     print(f"{n:>4} {correct:>14.2f} {under:>7.2f} {over:>6.2f}")
 
-out = Path(tempfile.mkdtemp(prefix="ktsbm_demo_"))
-paths = write_outputs(config, records, out)
-print()
-print("CSV artifacts (deterministic given the config):")
-for name, path in paths.items():
-    print(f"  {name}: {path}")
-print()
-print("head of trials.csv:")
-print("\n".join(paths["trials"].read_text().splitlines()[:4]))
+with tempfile.TemporaryDirectory(prefix="ktsbm_demo_") as out:
+    paths = write_outputs(config, records, Path(out))
+    print()
+    print("CSV artifacts (deterministic given the config):")
+    for name, path in paths.items():
+        print(f"  {name}: {path}")
+    print()
+    print("head of trials.csv:")
+    print("\n".join(paths["trials"].read_text().splitlines()[:4]))

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,21 +89,7 @@ class ExperimentConfig:
         return SparseSchedule(S0=np.array(self.P0), c=self.c, alpha=self.alpha).rho(n)
 
     def to_dict(self) -> dict:
-        return {
-            "k0": self.k0,
-            "pi0": list(self.pi0),
-            "P0": [list(r) for r in self.P0],
-            "regime": self.regime,
-            "c": self.c,
-            "alpha": self.alpha,
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "k_max": self.k_max,
-            "kt_method": self.kt_method,
-            "master_seed": self.master_seed,
-            "output_path": self.output_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -28,7 +28,7 @@ from .partitions import (
     graph_cell_edges,
     require_partitions,
 )
-from .sbm import Graph, LabelVector, _label_index
+from .sbm import Graph, LabelVector, _labeling_cells
 
 __all__ = [
     "KtValue",
@@ -113,9 +113,8 @@ def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
 
 def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     """log K(x|z): product over cells a <= b of the Beta(1/2,1/2) predictive."""
-    codes = _label_index(z, x, k)[None, :]
-    ho = _cell_edges(codes, k, x.edges())[0]
-    return float(_cell_log_pred(ho, _cell_pairs(codes, k)[1][0], x.n).sum())
+    _, hn, ho = _labeling_cells(z, x, k)
+    return float(_cell_log_pred(ho, hn, x.n).sum())
 
 
 def _log_kt_exact(x: Graph, ks, cap: int) -> list[KtValue]:
@@ -127,6 +126,8 @@ def _log_kt_exact(x: Graph, ks, cap: int) -> list[KtValue]:
     k, partitions with m <= k blocks enter with multiplicity k!/(k-m)!
     (distinct value assignments).
     """
+    if min(ks) < 1:
+        raise ValidationError(f"k must be >= 1, got {min(ks)}")
     n = x.n
     table = require_partitions(n, min(max(ks), n), cap)
     ho = graph_cell_edges(table, x.edges())
@@ -172,6 +173,8 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     delta-method standard error on the log scale and the Kish effective
     sample size (sum w)^2 / sum w^2 of the weights w = K(x|z).
     """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     if samples < 100:
         raise ValidationError(f"samples must be >= 100, got {samples}")
     from .seeds import rng_from_seed

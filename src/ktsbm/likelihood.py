@@ -1,8 +1,10 @@
 """Complete-data and marginal likelihoods for the stochastic block model.
 
-The joint law of a labeling z and graph x factorizes over blocks:
+The joint law of a labeling z and graph x factorizes over blocks of sizes
+n_a and the condensed cells a <= b of ``partitions``, with hn node pairs
+and ho edges each:
 
-    P(z, x) = prod_a pi_a^{n_a} * prod_{a,b} P_ab^{O_ab/2} (1-P_ab)^{(n_ab-O_ab)/2}
+    P(z, x) = prod_a pi_a^{n_a} * prod_{a<=b} P_ab^{ho} (1-P_ab)^{hn-ho}
 
 with the 0^0 = 1 convention: a zero parameter only annihilates the
 probability when the matching count is positive.  All evaluations happen in
@@ -14,18 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .errors import InfeasibleSizeError, ValidationError
+from .kt import _logsumexp
 from .partitions import (
+    _block_pairs,
     _budget_passes,
+    _cell_edges,
     cell_layout,
     graph_cell_edges,
     iter_labeling_stats,
     labeling_stats,
     require_partitions,
 )
-from .sbm import Graph, LabelVector, SbmParams, compute_stats
+from .sbm import Graph, LabelVector, SbmParams, _labeling_cells
 from .seeds import derive_seed, rng_from_seed
 
 __all__ = [
@@ -84,12 +89,10 @@ def _safe_log(v: np.ndarray) -> np.ndarray:
 def complete_log_prob(params: SbmParams, z: LabelVector, x: Graph) -> float:
     """log P(z, x) under the given parameters; -inf when a zero-probability
     cell has a positive count."""
-    s = compute_stats(z, x, params.k)
-    label_term = xlogy(s.n_a, params.pi).sum()
-    with np.errstate(invalid="ignore"):
-        edge_term = 0.5 * (
-            xlogy(s.O_ab, params.P).sum() + xlogy(s.n_ab - s.O_ab, 1.0 - params.P).sum()
-        )
+    counts, hn, ho = _labeling_cells(z, x, params.k)
+    P = params.P[cell_layout(params.k)[:2]]
+    label_term = xlogy(counts, params.pi).sum()
+    edge_term = xlogy(ho, P).sum() + xlogy(hn - ho, 1.0 - P).sum()
     return float(label_term + edge_term)
 
 
@@ -104,13 +107,11 @@ class EmpiricalRates:
 
 
 def mle_from_labels(z: LabelVector, x: Graph, k: int) -> EmpiricalRates:
-    """Empirical probabilities pi_a = n_a/n and P_ab = O_ab/n_ab."""
-    s = compute_stats(z, x, k)
-    n = len(z)
-    pi = s.n_a / n
-    P = np.zeros((k, k), dtype=float)
-    np.divide(s.O_ab, s.n_ab, out=P, where=s.n_ab > 0)
-    return EmpiricalRates(pi=pi, P=P, undefined=s.n_ab == 0)
+    """Empirical probabilities pi_a = n_a/n and P_ab = ho/hn, the edges
+    over the node pairs of cell (a, b)."""
+    counts, hn, ho = _labeling_cells(z, x, k)
+    P = _cells_to_matrix(_pair_ratio(ho, hn), k)
+    return EmpiricalRates(pi=counts / len(z), P=P, undefined=_cells_to_matrix(hn == 0, k))
 
 
 def _pair_ratio(ho: np.ndarray, hn: np.ndarray) -> np.ndarray:
@@ -121,80 +122,62 @@ def _pair_ratio(ho: np.ndarray, hn: np.ndarray) -> np.ndarray:
 
 def max_complete_log_lik(z: LabelVector, x: Graph, k: int) -> float:
     """sup over (pi, P) of log P(z, x): the plug-in value
-    n sum_a pihat_a log pihat_a + 1/2 sum_ab n_ab gamma(Phat_ab)."""
-    s = compute_stats(z, x, k)
-    return _objective_full(s.n_a, s.O_ab, len(z))
+    n sum_a pihat_a log pihat_a + sum_{a<=b} hn gamma(Phat_ab)."""
+    return float(_objective_cells(*_labeling_cells(z, x, k), len(z)))
 
 
 def _objective_cells(counts: np.ndarray, hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
     """Vectorized plug-in likelihood for rows of condensed-cell statistics."""
-    label_term = xlogy(counts, counts / n).sum(axis=1)
+    label_term = xlogy(counts, counts / n).sum(axis=-1)
     ratio = _pair_ratio(ho, hn)
     cell_term = xlogy(ho, ratio) + xlogy(hn - ho, 1.0 - ratio)
-    return label_term + cell_term.sum(axis=1)
+    return label_term + cell_term.sum(axis=-1)
 
 
-def _objective_full(n_a: np.ndarray, O: np.ndarray, n: int) -> float:
-    """Plug-in likelihood from block sizes and ordered-pair edge counts."""
-    n_ab = np.outer(n_a, n_a)
-    np.fill_diagonal(n_ab, n_a * (n_a - 1))
-    ratio = _pair_ratio(O, n_ab)
-    return float(
-        xlogy(n_a, n_a / n).sum()
-        + 0.5 * (xlogy(O, ratio).sum() + xlogy(n_ab - O, 1.0 - ratio).sum())
-    )
+def _move_values(counts: np.ndarray, ho: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Plug-in likelihood, per target block c = 0..k-1, of adding one node
+    with d[b] neighbors in block b to the statistics (counts, ho)."""
+    k = counts.size
+    cell_of = cell_layout(k)[2]
+    rows = counts + np.eye(k, dtype=np.int64)
+    cells = np.tile(ho, (k, 1))
+    cells[np.arange(k)[:, None], cell_of] += d  # row c gains d in cells (c, b)
+    return _objective_cells(rows, _block_pairs(rows, k), cells, n)
 
 
 def _local_profile_search(
     x: Graph, k: int, restarts: int, max_sweeps: int, seed: int
 ) -> tuple[LabelVector, float]:
     n = x.n
+    cell_of = cell_layout(k)[2]
     adj = x.adjacency().astype(bool)
     neighbors = [np.nonzero(adj[i])[0] for i in range(n)]
-    best_val = -np.inf
-    best_lab: np.ndarray | None = None
+    found = []
     for r in range(restarts):
         rng = rng_from_seed(derive_seed(seed, r))
         lab = rng.integers(0, k, size=n)
         counts = np.bincount(lab, minlength=k)
-        O = np.zeros((k, k), dtype=np.int64)
-        for i, j in x.edges():
-            O[lab[i], lab[j]] += 1
-            O[lab[j], lab[i]] += 1
+        ho = _cell_edges(lab[None, :], k, x.edges())[0]
         for _ in range(max_sweeps):
             moved = False
             for i in range(n):
                 a = lab[i]
                 d = np.bincount(lab[neighbors[i]], minlength=k)
                 counts[a] -= 1
-                O[a, :] -= d
-                O[:, a] -= d
-                vals = np.empty(k)
-                for c in range(k):
-                    counts[c] += 1
-                    O[c, :] += d
-                    O[:, c] += d
-                    vals[c] = _objective_full(counts, O, n)
-                    counts[c] -= 1
-                    O[c, :] -= d
-                    O[:, c] -= d
-                c_star = int(np.argmax(vals))
-                if vals[c_star] <= vals[a]:  # keep current label on ties
-                    c_star = a
-                counts[c_star] += 1
-                O[c_star, :] += d
-                O[:, c_star] += d
-                if c_star != a:
-                    lab[i] = c_star
-                    moved = True
+                ho[cell_of[a]] -= d
+                vals = _move_values(counts, ho, d, n)
+                c = int(np.argmax(vals))
+                if vals[c] <= vals[a]:  # keep current label on ties
+                    c = a
+                counts[c] += 1
+                ho[cell_of[c]] += d
+                moved |= c != a
+                lab[i] = c
             if not moved:
                 break
-        val = _objective_full(counts, O, n)
-        if val > best_val:
-            best_val = val
-            best_lab = lab.copy()
-    assert best_lab is not None
-    return LabelVector(best_lab + 1, k), float(best_val)
+        found.append((lab, float(_objective_cells(counts, _block_pairs(counts, k), ho, n))))
+    lab, val = max(found, key=lambda f: f[1])  # the first restart wins a tie
+    return LabelVector(lab + 1, k), val
 
 
 def profile_label_search(
@@ -213,6 +196,8 @@ def profile_label_search(
     runs greedy single-node relabel sweeps from seeded random starts and
     returns the best value found, which never exceeds the exact optimum.
     """
+    if k < 1 or restarts < 1:
+        raise ValidationError(f"k and restarts must be >= 1, got k={k}, restarts={restarts}")
     if mode == "exact":
         table = require_partitions(x.n, min(k, x.n), cap)
         ho = graph_cell_edges(table, x.edges())
@@ -237,8 +222,8 @@ def marginal_log_lik_exact(params: SbmParams, x: Graph, cap: int = ENUM_CAP) -> 
     chunks = []
     for counts, hn, (ho,) in iter_labeling_stats(n, k, [x.edges()]):
         ll = counts @ log_pi + ho @ logP + (hn - ho) @ log1mP
-        chunks.append(logsumexp(ll))
-    return float(logsumexp(np.array(chunks)))
+        chunks.append(_logsumexp(ll))
+    return _logsumexp(np.array(chunks))
 
 
 @dataclass(frozen=True)
@@ -259,11 +244,8 @@ class FitResult:
 
 
 def _cells_to_matrix(cells: np.ndarray, k: int) -> np.ndarray:
-    cell_a, cell_b, _ = cell_layout(k)
-    P = np.zeros((k, k), dtype=float)
-    P[cell_a, cell_b] = cells
-    P[cell_b, cell_a] = cells
-    return P
+    """The symmetric k x k matrix of per-cell values."""
+    return cells[cell_layout(k)[2]]
 
 
 def _finish_params(pi: np.ndarray, P: np.ndarray, k: int) -> SbmParams:
@@ -447,6 +429,8 @@ def fit_marginal_ml_batch(
     closed form; for k > 1, k**n above ``exact_cap`` raises
     InfeasibleSizeError.
     """
+    if min(k, starts, max_iter) < 1:
+        raise ValidationError(f"k, starts and max_iter must be >= 1, got {k}, {starts}, {max_iter}")
     graphs = list(graphs)
     seeds = list(seeds)
     if len(seeds) != len(graphs):
@@ -486,8 +470,6 @@ def sparse_decomposition_check(
     z: LabelVector, x: Graph, rho: float, k: int
 ) -> tuple[float, float, float]:
     """Evaluate the decomposition on the empirical statistics of (z, x),
-    with edge mass E_n / n^2. Returns (lhs, rhs, residual)."""
+    with edge mass E_n / n^2, E_n = 2 * edges. Returns (lhs, rhs, residual)."""
     est = mle_from_labels(z, x, k)
-    s = compute_stats(z, x, k)
-    n = len(z)
-    return sparse_decomposition_parts(est.pi, est.P, s.E_n / n**2, rho)
+    return sparse_decomposition_parts(est.pi, est.P, 2 * x.edge_count / len(z) ** 2, rho)

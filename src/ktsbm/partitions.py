@@ -17,7 +17,8 @@ node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
 enumeration, Monte Carlo label draws, single labelings) counts them with
 the same two kernels, ``_cell_pairs`` for block sizes and hn and
 ``_cell_edges`` for ho, in passes whose temporaries stay under the byte
-budget ``_STATS_BYTES``, whatever the edge count.  The module also keeps the
+budget ``_STATS_BYTES``, whatever the edge count.  Node pairs are formed
+from block sizes in one place, ``_block_pairs``.  The module also keeps the
 one pair of log-Gamma tables that the KT terms gather from.
 """
 
@@ -97,20 +98,25 @@ def _passes(rows: int, n: int, k: int, m: int):
     return _budget_passes(rows, 8 * (n + 4 * (m + k * (k + 1) // 2)))
 
 
+def _block_pairs(counts: np.ndarray, k: int) -> np.ndarray:
+    """Node pairs per condensed cell (..., C) from block sizes (..., k):
+    n_a n_b for a < b and n_a (n_a - 1) / 2 for a = b."""
+    cell_a, cell_b, _ = cell_layout(k)
+    ca = counts[..., cell_a]
+    hn = ca * counts[..., cell_b]
+    diag = cell_a == cell_b
+    hn[..., diag] = ca[..., diag] * (ca[..., diag] - 1) // 2
+    return hn
+
+
 def _cell_pairs(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Block sizes (L, k) and node pairs per condensed cell (L, C), int64,
     of the labelings in the rows of ``codes`` (values 0..k-1).  Callers
     bound L with ``_passes``."""
     L = codes.shape[0]
-    cell_a, cell_b, _ = cell_layout(k)
     rows = np.arange(L, dtype=np.int64)[:, None]
     counts = np.bincount((rows * k + codes).ravel(), minlength=L * k).reshape(L, k)
-    ca = counts[:, cell_a]
-    cb = counts[:, cell_b]
-    hn = ca * cb
-    diag = cell_a == cell_b
-    hn[:, diag] = ca[:, diag] * (ca[:, diag] - 1) // 2
-    return counts, hn
+    return counts, _block_pairs(counts, k)
 
 
 def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ Conventions used throughout the package:
   symmetric, with zero diagonal.  Storage is the condensed upper triangle
   (n(n-1)/2 booleans, row-major).
 
-The block-pair counters follow the ordered-pair convention: ``O[a, b]``
-counts ordered node pairs (i, j) with labels (a, b) joined by an edge, so an
-edge inside block a contributes 2 to ``O[a, a]`` and an edge between blocks
-a != b contributes 1 to each of ``O[a, b]`` and ``O[b, a]``.
+Likelihood and KT terms read the condensed cells a <= b of ``partitions``.
+Only the public ``compute_stats``/``SuffStats`` view (the paper's n_ab,
+O_ab) uses the ordered-pair convention: ``O[a, b]`` counts ordered node
+pairs (i, j) with labels (a, b) joined by an edge, so an edge inside block
+a contributes 2 to ``O[a, a]`` and an edge between blocks a != b
+contributes 1 to each of ``O[a, b]`` and ``O[b, a]``.
 """
 
 from __future__ import annotations
@@ -287,25 +289,27 @@ class SuffStats:
         return int(self.n_a.sum())
 
 
-def _label_index(z: LabelVector, x: Graph, k: int) -> np.ndarray:
-    """0-based labels of z, checked against the graph size and k."""
+def _labeling_cells(z: LabelVector, x: Graph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block sizes (k,), node pairs (C,) and edges (C,) per condensed cell
+    of (z, x) for a k-block model, checked against the graph size and k."""
     if len(z) != x.n:
         raise ValidationError(f"labeling has length {len(z)} but graph has {x.n} nodes")
     if z.k > k or (len(z) and z.labels.max() > k):
         raise ValidationError(f"labels exceed k={k}")
-    return z.labels - 1
+    codes = (z.labels - 1)[None, :]
+    counts, hn = _cell_pairs(codes, k)
+    return counts[0], hn[0], _cell_edges(codes, k, x.edges())[0]
 
 
 def compute_stats(z: LabelVector, x: Graph, k: int) -> SuffStats:
     """Extract the sufficient statistics of (z, x) for a k-block model."""
-    codes = _label_index(z, x, k)[None, :]
-    counts, hn = _cell_pairs(codes, k)
+    counts, hn, ho = _labeling_cells(z, x, k)
     cell_of = cell_layout(k)[2]
     twice = 1 + np.eye(k, dtype=np.int64)  # ordered pairs count a diagonal cell twice
-    O_ab = _cell_edges(codes, k, x.edges())[0][cell_of] * twice
+    O_ab = ho[cell_of] * twice
     return SuffStats(
-        n_a=_freeze(counts[0]),
-        n_ab=_freeze(hn[0][cell_of] * twice),
+        n_a=_freeze(counts),
+        n_ab=_freeze(hn[cell_of] * twice),
         O_ab=_freeze(O_ab),
         E_n=int(O_ab.sum()),
     )

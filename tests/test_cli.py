@@ -163,6 +163,12 @@ def test_verify_gamma_cli(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_prop31_rejects_k0(capsys):
+    code, _, err = run_cli(capsys, "verify", "prop31", "--n", "4", "--k", "0")
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from ktsbm import cli
     from ktsbm.experiments import SuiteReport
