@@ -26,8 +26,7 @@ from .experiments import (
     write_outputs,
 )
 from .graphio import read_graph_file, write_graph_file, write_labels_file
-from .kt import KT_PARTITION_CAP
-from .partitions import partition_count
+from .partitions import TABLE_CAP, partition_count
 from .sbm import SbmParams, sample_sbm
 from .selection import PenaltySpec, dense_gap, estimate_order, identical_columns, sparse_gap
 
@@ -72,7 +71,7 @@ def cmd_sample(args) -> int:
 def _k_max_hint(n: int) -> str:
     """Point an infeasible exact request at the largest feasible k_max >= 2."""
     k = 1
-    while k < n and partition_count(n, k + 1) <= KT_PARTITION_CAP:
+    while k < n and partition_count(n, k + 1) <= TABLE_CAP:
         k += 1
     if k < 2:
         return f"exact KT is infeasible at n={n} for any k_max >= 2"

@@ -16,4 +16,4 @@ class GraphFormatError(ValidationError):
 
 
 class InfeasibleSizeError(RuntimeError):
-    """Raised when an exact enumeration would exceed its configured cap."""
+    """Raised when an exact enumeration would exceed its fixed cap."""

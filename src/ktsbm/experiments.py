@@ -40,6 +40,10 @@ __all__ = [
     "SuiteReport",
 ]
 
+_NORM_TOL = 1e-10  # a normalization check passes when its total is within this of 1
+_N_MAX, _J_MAX = 200, 10  # Gamma suite: J <= _J_MAX parts, each at most _N_MAX // J
+_OVER_KS = (2, 3)  # the orders k > k0 = 1 that lemma_a2_suite checks
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -66,15 +70,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.regime not in ("dense", "sparse"):
             raise ValidationError(f"regime must be 'dense' or 'sparse', got {self.regime!r}")
-        if list(self.n_grid) != sorted(set(self.n_grid)):
-            raise ValidationError("n_grid must be strictly increasing")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        sizes = [("trials", self.trials, 1), ("k_max", self.k_max, 1), ("master_seed", self.master_seed, 0)]
+        for name, value, low in sizes + [("n_grid entry", v, 1) for v in self.n_grid]:
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
+            raise ValidationError("n_grid must be nonempty and strictly increasing")
         parse_kt_method(self.kt_method)
         PenaltySpec(self.epsilon)
         object.__setattr__(self, "pi0", tuple(float(v) for v in self.pi0))
         object.__setattr__(self, "P0", tuple(tuple(float(v) for v in row) for row in self.P0))
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
 
     def params_at(self, n: int) -> SbmParams:
         pi = np.array(self.pi0)
@@ -242,7 +248,7 @@ class SuiteReport:
             yield f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}"
 
 
-def normalization_suite(tol: float = 1e-10) -> SuiteReport:
+def normalization_suite() -> SuiteReport:
     """Exhaustive normalization checks of the three KT components:
     sum_z K(z) = 1 for n <= 6, sum_x K(x|z) = 1 and sum_x K(x) = 1 for
     n <= 4, all with k <= 3."""
@@ -257,7 +263,7 @@ def normalization_suite(tol: float = 1e-10) -> SuiteReport:
             for lab in product(range(1, k + 1), repeat=n):
                 total += np.exp(log_kt_labels(LabelVector(lab, k), k))
             err = abs(total - 1.0)
-            checks.append((f"sum_z K(z), n={n}, k={k}", err <= tol, f"|total-1|={err:.3e}"))
+            checks.append((f"sum_z K(z), n={n}, k={k}", err <= _NORM_TOL, f"|total-1|={err:.3e}"))
     for k in (1, 2, 3):
         for n in (2, 3, 4):
             graphs = list(enumerate_graphs(n))
@@ -267,11 +273,11 @@ def normalization_suite(tol: float = 1e-10) -> SuiteReport:
                 total = sum(np.exp(log_kt_graph_given_labels(z, g, k)) for g in graphs)
                 worst = max(worst, abs(total - 1.0))
             checks.append(
-                (f"sum_x K(x|z) over all z, n={n}, k={k}", worst <= tol, f"worst |total-1|={worst:.3e}")
+                (f"sum_x K(x|z) over all z, n={n}, k={k}", worst <= _NORM_TOL, f"worst |total-1|={worst:.3e}")
             )
             total = sum(np.exp(log_kt_marginal_exact(g, k).log_value) for g in graphs)
             err = abs(total - 1.0)
-            checks.append((f"sum_x K(x), n={n}, k={k}", err <= tol, f"|total-1|={err:.3e}"))
+            checks.append((f"sum_x K(x), n={n}, k={k}", err <= _NORM_TOL, f"|total-1|={err:.3e}"))
     return SuiteReport("normalization", tuple(checks))
 
 
@@ -302,31 +308,31 @@ def prop31_suite(n_values=(4, 5), k_values=(1, 2), em_starts: int = 16, seed: in
     return SuiteReport("prop31", tuple(checks))
 
 
-def gamma_suite(count: int = 1000, seed: int = 0, n_max: int = 200, j_max: int = 10) -> SuiteReport:
+def gamma_suite(count: int = 1000, seed: int = 0) -> SuiteReport:
     """Random compositions through the Gamma composition inequality."""
     rng = rng_from_seed(derive_seed(seed, 0xA1))
     worst = -np.inf
     bad = 0
     for _ in range(count):
-        j = int(rng.integers(1, j_max + 1))
-        parts = rng.integers(1, max(n_max // j, 1) + 1, size=j)
+        j = int(rng.integers(1, _J_MAX + 1))
+        parts = rng.integers(1, max(_N_MAX // j, 1) + 1, size=j)
         lhs, rhs, holds = gamma_composition_inequality(parts)
         worst = max(worst, lhs - rhs)
         bad += not holds
     return SuiteReport(
         "gamma_ineq",
-        ((f"{count} random compositions (n<={n_max}, J<={j_max})", bad == 0, f"worst log slack {worst:.3e}"),),
+        ((f"{count} random compositions (n<={_N_MAX}, J<={_J_MAX})", bad == 0, f"worst log slack {worst:.3e}"),),
     )
 
 
-def lemma_a2_suite(epsilon: float = 1.0, over_ks=(2, 3)) -> SuiteReport:
+def lemma_a2_suite(epsilon: float = 1.0) -> SuiteReport:
     """Exact overestimation probability at n=4 under the one-block p=1/2 law
     versus the analytic bound."""
     n, k0, p = 4, 1, 0.5
     spec = PenaltySpec(epsilon)
-    k_max = max(over_ks)
+    k_max = max(_OVER_KS)
     weights_total = 0.0
-    prob = {k: 0.0 for k in over_ks}
+    prob = {k: 0.0 for k in _OVER_KS}
     for g in enumerate_graphs(n):
         w = p**g.edge_count * (1 - p) ** (n * (n - 1) // 2 - g.edge_count)
         weights_total += w
@@ -334,7 +340,7 @@ def lemma_a2_suite(epsilon: float = 1.0, over_ks=(2, 3)) -> SuiteReport:
         if k_hat in prob:
             prob[k_hat] += w
     checks = []
-    for k in over_ks:
+    for k in _OVER_KS:
         bound = overestimation_bound(k0, k, n, spec)
         checks.append(
             (

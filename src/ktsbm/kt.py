@@ -42,7 +42,6 @@ __all__ = [
     "gamma_composition_inequality",
 ]
 
-KT_PARTITION_CAP = 2_000_000
 _LG_HALF = gammaln(0.5)  # log Gamma(1/2) = log sqrt(pi)
 _LOG_PI = 2.0 * _LG_HALF
 # Monte Carlo labels are drawn in blocks of this many samples.  The block
@@ -117,21 +116,24 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     return float(_cell_log_pred(ho, hn, x.n).sum())
 
 
-def _log_kt_exact(x: Graph, ks, cap: int) -> list[KtValue]:
+def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
     """Exact log K_k(x) for every k of ``ks`` from one partition table with
     at most max(ks) blocks.
 
     Per canonical partition, the k-independent part of log K(z) K(x|z) is
     sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition); for each
     k, partitions with m <= k blocks enter with multiplicity k!/(k-m)!
-    (distinct value assignments).
+    (distinct value assignments).  The per-partition terms are evaluated
+    one budgeted pass at a time.
     """
     if min(ks) < 1:
         raise ValidationError(f"k must be >= 1, got {min(ks)}")
     n = x.n
-    table = require_partitions(n, min(max(ks), n), cap)
+    table = require_partitions(n, min(max(ks), n))
     ho = graph_cell_edges(table, x.edges())
-    base = table.label_part + _cell_log_pred(ho, table.hn, n).sum(axis=1)
+    base = np.empty(table.size)
+    for lo, hi in _passes(table.size, n, table.m_max, 0):
+        base[lo:hi] = table.label_part[lo:hi] + _cell_log_pred(ho[lo:hi], table.hn[lo:hi], n).sum(axis=1)
     gone = _log_gamma_tables(max(n, *ks))[1]
     values = []
     for k in ks:
@@ -144,10 +146,10 @@ def _log_kt_exact(x: Graph, ks, cap: int) -> list[KtValue]:
     return values
 
 
-def log_kt_marginal_exact(x: Graph, k: int, cap: int = KT_PARTITION_CAP) -> KtValue:
+def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
     """log K(x) = log sum_z K(z) K(x|z), orbit-reduced over label
     permutations with exact multiplicity weights."""
-    return _log_kt_exact(x, [k], cap)[0]
+    return _log_kt_exact(x, [k])[0]
 
 
 def _polya_urn_labels(rng, n: int, k: int, size: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .partitions import (
     _block_pairs,
     _budget_passes,
     _cell_edges,
+    _passes,
     cell_layout,
     graph_cell_edges,
     iter_labeling_stats,
@@ -49,7 +50,15 @@ __all__ = [
     "sparse_decomposition_parts",
 ]
 
+# Largest k**n that marginal_log_lik_exact (ENUM_CAP) and exact EM (EM_CAP)
+# enumerate.
 ENUM_CAP = 10_000_000
+EM_CAP = 200_000
+# EM stops a run when |change| < _EM_TOL * max(|ll|, 1), or at _EM_MAX_ITER.
+_EM_TOL = 1e-8
+_EM_MAX_ITER = 500
+# Greedy relabel sweeps per restart of the local profile search.
+_MAX_SWEEPS = 100
 _LOG_FLOOR = -1e300
 
 
@@ -145,9 +154,7 @@ def _move_values(counts: np.ndarray, ho: np.ndarray, d: np.ndarray, n: int) -> n
     return _objective_cells(rows, _block_pairs(rows, k), cells, n)
 
 
-def _local_profile_search(
-    x: Graph, k: int, restarts: int, max_sweeps: int, seed: int
-) -> tuple[LabelVector, float]:
+def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[LabelVector, float]:
     n = x.n
     cell_of = cell_layout(k)[2]
     adj = x.adjacency().astype(bool)
@@ -158,7 +165,7 @@ def _local_profile_search(
         lab = rng.integers(0, k, size=n)
         counts = np.bincount(lab, minlength=k)
         ho = _cell_edges(lab[None, :], k, x.edges())[0]
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             moved = False
             for i in range(n):
                 a = lab[i]
@@ -185,36 +192,37 @@ def profile_label_search(
     k: int,
     mode: str = "exact",
     restarts: int = 20,
-    max_sweeps: int = 100,
     seed: int = 0,
-    cap: int = ENUM_CAP,
 ) -> tuple[LabelVector, float]:
     """Maximize the plug-in likelihood over labelings in {1..k}^n.
 
     Exact mode enumerates one canonical labeling per label-permutation orbit
-    (the objective is invariant under relabeling) and is capped; local mode
+    (the objective is invariant under relabeling), under the table cap of
+    ``partitions``, and scores them one budgeted pass at a time; local mode
     runs greedy single-node relabel sweeps from seeded random starts and
     returns the best value found, which never exceeds the exact optimum.
     """
     if k < 1 or restarts < 1:
         raise ValidationError(f"k and restarts must be >= 1, got k={k}, restarts={restarts}")
     if mode == "exact":
-        table = require_partitions(x.n, min(k, x.n), cap)
+        table = require_partitions(x.n, min(k, x.n))
         ho = graph_cell_edges(table, x.edges())
-        obj = _objective_cells(table.counts, table.hn, ho, x.n)
+        obj = np.empty(table.size)
+        for lo, hi in _passes(table.size, x.n, table.m_max, 0):
+            obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], x.n)
         best = int(np.argmax(obj))
         return LabelVector(table.codes[best] + 1, k), float(obj[best])
     if mode == "local":
-        return _local_profile_search(x, k, restarts, max_sweeps, seed)
+        return _local_profile_search(x, k, restarts, seed)
     raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'local'")
 
 
-def marginal_log_lik_exact(params: SbmParams, x: Graph, cap: int = ENUM_CAP) -> float:
+def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:
     """log P(x) = log sum_z P(z, x) by stable enumeration over all k**n
-    labelings (cap enforced)."""
+    labelings, at most ``ENUM_CAP``."""
     n, k = x.n, params.k
-    if k**n > cap:
-        raise InfeasibleSizeError(f"k**n = {k**n} labelings exceed the cap {cap}")
+    if k**n > ENUM_CAP:
+        raise InfeasibleSizeError(f"k**n = {k**n} labelings exceed the cap {ENUM_CAP}")
     log_pi = _safe_log(params.pi)
     cell_a, cell_b, _ = cell_layout(k)
     logP = _safe_log(params.P[cell_a, cell_b])
@@ -265,13 +273,13 @@ def _em_starts(seeds, k, C, starts):
     return np.vstack(pis), np.vstack(Pcs)
 
 
-def _em_runs(stats, graph_of, pis, Pcs, n, tol, max_iter):
+def _em_runs(stats, graph_of, pis, Pcs, n):
     """Exact EM on R independent runs; run r fits graph ``graph_of[r]``.
 
     ``stats`` (G, k + 2C, L) holds, for each graph and each of the L
     labelings, the block sizes, then the edges and the non-edges per cell.
     Every iteration computes only the runs still going; a run stops at its
-    own convergence or at ``max_iter``.  Returns per run the final
+    own convergence or at ``_EM_MAX_ITER``.  Returns per run the final
     log-likelihood, iteration count, converged flag and (pi, P cells), and
     the trail: per iteration, the log-likelihoods of the runs going and, if
     some stopped, the mask of those that go on.
@@ -285,12 +293,12 @@ def _em_runs(stats, graph_of, pis, Pcs, n, tol, max_iter):
     run = np.arange(R)
     ll_prev = np.full(R, -np.inf)
     final_ll = np.empty(R)
-    iters = np.full(R, max_iter)
+    iters = np.full(R, _EM_MAX_ITER)
     converged = np.zeros(R, dtype=bool)
     final_pi = np.empty_like(pis)
     final_P = np.empty_like(Pcs)
     trail = []
-    for it in range(max_iter):
+    for it in range(_EM_MAX_ITER):
         ll_mat = np.einsum("rjl,rj->rl", cells, _safe_log(np.hstack([pis, Pcs, 1.0 - Pcs])))
         top = ll_mat.max(axis=1)
         ll_mat -= top[:, None]
@@ -298,7 +306,7 @@ def _em_runs(stats, graph_of, pis, Pcs, n, tol, max_iter):
         total = e.sum(axis=1)
         ll = np.log(total) + top
         trail.append([ll, None])
-        done = np.abs(ll - ll_prev) < tol * np.maximum(np.abs(ll_prev), 1.0)
+        done = np.abs(ll - ll_prev) < _EM_TOL * np.maximum(np.abs(ll_prev), 1.0)
         ll_prev = ll
         if done.any():
             stop = run[done]
@@ -331,7 +339,7 @@ def _run_histories(trail, runs, iters):
     return out
 
 
-def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap):
+def _fit_exact(graphs, k, starts, seeds):
     """Exact EM for a list of graphs on the same n, one seed per graph.
 
     Every (graph, start) pair is an independent run.  Runs are processed in
@@ -339,7 +347,7 @@ def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap):
     graph keeps its best start (the first on ties).
     """
     n = graphs[0].n
-    counts, hn, ho = labeling_stats(n, k, [g.edges() for g in graphs], exact_cap)
+    counts, hn, ho = labeling_stats(n, k, [g.edges() for g in graphs])
     L, C = hn.shape
     pis, Pcs = _em_starts(seeds, k, C, starts)
     best: list[FitResult | None] = [None] * len(graphs)
@@ -348,13 +356,13 @@ def _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap):
     # from the edges: with the -1e300 floor of _safe_log, the rewrite
     # ho*(log P - log(1-P)) + hn*log(1-P) cancels catastrophically.
     J = k + 2 * C
-    for lo, hi in _budget_passes(pis.shape[0], 9 * max_iter + 8 * L * (2 * J + 4)):
+    for lo, hi in _budget_passes(pis.shape[0], 9 * _EM_MAX_ITER + 8 * L * (2 * J + 4)):
         g_lo, g_hi = lo // starts, (hi - 1) // starts + 1
         edges = ho[g_lo:g_hi].transpose(0, 2, 1)
         shared = np.broadcast_to(counts.T, (g_hi - g_lo, k, L))
         stats = np.concatenate([shared, edges, hn.T - edges], axis=1).astype(float)
         ll, iters, conv, pi, Pc, trail = _em_runs(
-            stats, np.arange(lo, hi) // starts - g_lo, pis[lo:hi], Pcs[lo:hi], n, tol, max_iter
+            stats, np.arange(lo, hi) // starts - g_lo, pis[lo:hi], Pcs[lo:hi], n
         )
         # each graph's best start in this group
         tops = [
@@ -392,45 +400,29 @@ def _fit_one_block(x: Graph) -> FitResult:
     )
 
 
-def fit_marginal_ml(
-    x: Graph,
-    k: int,
-    starts: int = 16,
-    tol: float = 1e-8,
-    seed: int = 0,
-    max_iter: int = 500,
-    exact_cap: int = 200_000,
-) -> FitResult:
+def fit_marginal_ml(x: Graph, k: int, starts: int = 16, seed: int = 0) -> FitResult:
     """Approximate sup over (pi, P) of the marginal log-likelihood log P(x).
 
     Exact EM, best of ``starts`` seeded random initializations; the
     per-iteration log-marginal trace of a run is non-decreasing.  The
-    E-step enumerates all k**n labelings, so k**n above ``exact_cap``
+    E-step enumerates all k**n labelings, so k**n above ``EM_CAP``
     raises InfeasibleSizeError.  This is ``fit_marginal_ml_batch`` on the
     one graph.
     """
-    return fit_marginal_ml_batch([x], k, [seed], starts, tol, max_iter, exact_cap)[0]
+    return fit_marginal_ml_batch([x], k, [seed], starts)[0]
 
 
-def fit_marginal_ml_batch(
-    graphs,
-    k: int,
-    seeds,
-    starts: int = 16,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    exact_cap: int = 200_000,
-) -> list[FitResult]:
+def fit_marginal_ml_batch(graphs, k: int, seeds, starts: int = 16) -> list[FitResult]:
     """``fit_marginal_ml`` on every graph of a list, all on the same n, with
     one seed per graph.
 
     The graphs share the labeling enumeration and run as one batch; each
     (graph, start) pair is still an independent EM run.  k = 1 has a
-    closed form; for k > 1, k**n above ``exact_cap`` raises
+    closed form; for k > 1, k**n above ``EM_CAP`` raises
     InfeasibleSizeError.
     """
-    if min(k, starts, max_iter) < 1:
-        raise ValidationError(f"k, starts and max_iter must be >= 1, got {k}, {starts}, {max_iter}")
+    if min(k, starts) < 1:
+        raise ValidationError(f"k and starts must be >= 1, got {k}, {starts}")
     graphs = list(graphs)
     seeds = list(seeds)
     if len(seeds) != len(graphs):
@@ -444,7 +436,9 @@ def fit_marginal_ml_batch(
         raise ValidationError("fit_marginal_ml_batch requires n >= 2")
     if k == 1:
         return [_fit_one_block(g) for g in graphs]
-    return _fit_exact(graphs, k, starts, tol, seeds, max_iter, exact_cap)
+    if k**n > EM_CAP:
+        raise InfeasibleSizeError(f"exact enumeration needs k**n = {k**n} labelings, above the cap {EM_CAP}")
+    return _fit_exact(graphs, k, starts, seeds)
 
 
 def sparse_decomposition_parts(

@@ -44,6 +44,8 @@ __all__ = [
 
 # One counting pass keeps its int64 temporaries under this many bytes.
 _STATS_BYTES = 64 << 20
+# Largest canonical-partition table that any exact computation builds.
+TABLE_CAP = 2_000_000
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -207,12 +209,12 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     )
 
 
-def require_partitions(n: int, m_max: int, cap: int) -> PartitionTable:
+def require_partitions(n: int, m_max: int) -> PartitionTable:
     count = partition_count(n, min(m_max, n))
-    if count > cap:
+    if count > TABLE_CAP:
         raise InfeasibleSizeError(
             f"exact enumeration needs {count} canonical labelings at n={n}, "
-            f"m_max={min(m_max, n)}, above the cap {cap}"
+            f"m_max={min(m_max, n)}, above the cap {TABLE_CAP}"
         )
     return partition_table(n, min(m_max, n))
 
@@ -247,17 +249,13 @@ def iter_labeling_stats(n: int, k: int, edge_sets):
         yield (*_cell_pairs(codes, k), ho)
 
 
-def labeling_stats(n: int, k: int, edge_sets, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def labeling_stats(n: int, k: int, edge_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialized ``iter_labeling_stats`` of every labeling in {1..k}^n
     (for exact EM): block sizes (L, k) and node pairs per cell (L, C),
     shared by all graphs on n nodes, and edges per cell stacked per graph
-    of ``edge_sets``, (G, L, C).
+    of ``edge_sets``, (G, L, C).  Callers bound k**n.
     """
     total = k**n
-    if total > cap:
-        raise InfeasibleSizeError(
-            f"exact enumeration needs k**n = {total} labelings, above the cap {cap}"
-        )
     C = k * (k + 1) // 2
     counts = np.empty((total, k), dtype=np.int64)
     hn = np.empty((total, C), dtype=np.int64)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kt
 from .errors import ValidationError
-from .kt import KT_PARTITION_CAP, log_kt_marginal_mc, prop31_bound
-from .likelihood import ENUM_CAP, gamma_fn, max_complete_log_lik, profile_label_search, tau_fn
+from .kt import log_kt_marginal_mc, prop31_bound
+from .likelihood import gamma_fn, max_complete_log_lik, profile_label_search, tau_fn
 from .sbm import Graph, LabelVector, _check_symmetric_unit
 from .seeds import derive_seed
 
@@ -43,6 +43,9 @@ __all__ = [
     "identical_columns",
     "empirical_underfit_ratio",
 ]
+
+# Columns of a matrix closer than this in max norm count as identical.
+_COLUMN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ def estimate_order(
     k_max: int,
     kt_method: str = "exact",
     seed: int = 0,
-    cap: int = KT_PARTITION_CAP,
 ) -> tuple[int, CriterionTable]:
     """Penalized KT order estimate over k = 1..k_max.
 
@@ -139,7 +141,7 @@ def estimate_order(
     kind, samples = parse_kt_method(kt_method)
     n = x.n
     if kind == "exact":
-        kt_values = kt._log_kt_exact(x, range(1, k_max + 1), cap)
+        kt_values = kt._log_kt_exact(x, range(1, k_max + 1))
     else:
         kt_values = [
             log_kt_marginal_mc(x, k, samples, derive_seed(seed, k))
@@ -275,13 +277,14 @@ def sparse_gap(pi0, S0) -> GapResult:
     return _pairwise_gap(pi0, S0, tau_fn)
 
 
-def identical_columns(P, tol: float = 1e-10) -> tuple[int, int] | None:
-    """First pair of identical columns (1-based, max-norm tolerance), if any."""
+def identical_columns(P) -> tuple[int, int] | None:
+    """First pair of identical columns (1-based, max-norm tolerance
+    ``_COLUMN_TOL``), if any."""
     P = np.asarray(P, dtype=float)
     k = P.shape[0]
     for r in range(k):
         for s in range(r + 1, k):
-            if np.max(np.abs(P[:, r] - P[:, s])) <= tol:
+            if np.max(np.abs(P[:, r] - P[:, s])) <= _COLUMN_TOL:
                 return (r + 1, s + 1)
     return None
 
@@ -292,9 +295,7 @@ def empirical_underfit_ratio(
     k0: int,
     mode: str = "exact",
     restarts: int = 20,
-    max_sweeps: int = 100,
     seed: int = 0,
-    cap: int = ENUM_CAP,
     rho: float | None = None,
 ) -> float:
     """Finite-n likelihood gap between the k0-block fit at the true labels
@@ -303,8 +304,6 @@ def empirical_underfit_ratio(
     if k0 < 2:
         raise ValidationError("underfit ratio needs k0 >= 2")
     top = max_complete_log_lik(z, x, k0)
-    _, bottom = profile_label_search(
-        x, k0 - 1, mode=mode, restarts=restarts, max_sweeps=max_sweeps, seed=seed, cap=cap
-    )
+    _, bottom = profile_label_search(x, k0 - 1, mode=mode, restarts=restarts, seed=seed)
     scale = x.n**2 if rho is None else rho * x.n**2
     return float((top - bottom) / scale)

@@ -52,7 +52,7 @@ def record(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_normalization():
     t0 = time.perf_counter()
-    report = normalization_suite(tol=1e-10)
+    report = normalization_suite()
     elapsed = time.perf_counter() - t0
     ok = report.ok and elapsed < 60.0
     record(
@@ -220,7 +220,7 @@ def test_criterion_07_consistency_experiments():
 
 
 def test_criterion_08_overestimation_bound_dominance():
-    report = lemma_a2_suite(epsilon=1.0, over_ks=(2, 3))
+    report = lemma_a2_suite(epsilon=1.0)
     detail = "; ".join(d for _, _, d in report.checks[:-1])
     record("criterion 8 (overestimation bound dominates exact rate)", report.ok, detail)
 

@@ -144,6 +144,31 @@ def test_consistency_infeasible_names_k_max(tmp_path, capsys):
     assert "--kt" not in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_grid", []), ("n_grid", [4, 6.5]), ("trials", 2.5), ("k_max", 2.5), ("k_max", 0), ("master_seed", -1)],
+)
+def test_consistency_rejects_malformed_config(tmp_path, capsys, field, value):
+    config = {
+        "k0": 1,
+        "pi0": [1.0],
+        "P0": [[0.5]],
+        "regime": "dense",
+        "n_grid": [4],
+        "trials": 1,
+        "epsilon": 1.0,
+        "k_max": 2,
+        "kt_method": "exact",
+        "master_seed": 1,
+    }
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({**config, field: value}))
+    code, _, err = run_cli(capsys, "consistency", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_estimate_mc_reports_ess(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("6 3\n1 2\n2 3\n4 5\n")

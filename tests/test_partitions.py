@@ -3,7 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ktsbm import Graph, SbmParams, log_kt_marginal_mc, marginal_log_lik_exact, sample_sbm
+from ktsbm import (
+    Graph,
+    InfeasibleSizeError,
+    PenaltySpec,
+    SbmParams,
+    estimate_order,
+    log_kt_marginal_exact,
+    log_kt_marginal_mc,
+    marginal_log_lik_exact,
+    profile_label_search,
+    sample_sbm,
+)
 from ktsbm import partitions
 from ktsbm.partitions import cell_layout, graph_cell_edges, labeling_stats, partition_table
 
@@ -29,9 +40,11 @@ def test_counting_passes_do_not_change_results(monkeypatch):
             fresh.counts,
             fresh.hn,
             graph_cell_edges(table, g10.edges()),
-            labeling_stats(8, 3, [g8.edges(), random_graph(8, 0.3, 3).edges()], cap=10**6),
+            labeling_stats(8, 3, [g8.edges(), random_graph(8, 0.3, 3).edges()]),
             log_kt_marginal_mc(g10, 3, 3000, 11),
             marginal_log_lik_exact(params, g8),
+            log_kt_marginal_exact(g10, 4),
+            profile_label_search(g10, 4),
         )
 
     default = results()
@@ -46,19 +59,47 @@ def test_counting_passes_do_not_change_results(monkeypatch):
         assert np.array_equal(want, got)
     assert small[4] == default[4]  # KtValue: bit-identical value and std error
     assert small[5] == pytest.approx(default[5], abs=1e-12)  # per-pass logsumexp reorders
+    assert small[6] == default[6]  # per-partition terms are row-wise, so bit-identical
+    assert np.array_equal(small[7][0].labels, default[7][0].labels) and small[7][1] == default[7][1]
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_mc_memory_is_bounded_by_the_byte_budget():
     params = SbmParams(k=2, pi=np.array([0.5, 0.5]), P=np.array([[0.8, 0.2], [0.2, 0.8]]))
     _, g = sample_sbm(params, 50, 5)
     assert g.edge_count > 550
-    tracemalloc.start()
-    try:
-        log_kt_marginal_mc(g, 3, 20_000, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 160 * 2**20
+    assert _traced_peak(lambda: log_kt_marginal_mc(g, 3, 20_000, 1)) < 160 * 2**20
+
+
+def _refused(call):
+    with pytest.raises(InfeasibleSizeError, match="above the cap 2000000"):
+        call()
+
+
+@pytest.mark.parametrize("n, k", [(12, 5), (13, 4)])
+def test_table_cap_refuses_before_building(n, k):
+    # 2 079 475 and 2 798 251 canonical labelings, above TABLE_CAP
+    assert partitions.partition_count(n, k) > partitions.TABLE_CAP
+    g = random_graph(n, 0.5, 4)
+    for call in (lambda: profile_label_search(g, k), lambda: estimate_order(g, PenaltySpec(1.0), k_max=k)):
+        assert _traced_peak(lambda: _refused(call)) < 1 << 20
+
+
+def test_exact_estimate_memory_is_bounded():
+    # the bound lies between evaluating the per-partition KT terms one
+    # budgeted pass at a time (189 MiB traced, table build included) and on
+    # the whole (P, C) table at once (307 MiB)
+    g = random_graph(12, 0.45, 5)
+    partition_table.cache_clear()
+    assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=4)) < 240 << 20
 
 
 def test_cell_layout_is_shared_and_read_only():
