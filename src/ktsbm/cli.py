@@ -2,20 +2,22 @@
 
 Subcommands: sample, estimate, consistency, verify, gap.  Logs go to
 stderr; file outputs are deterministic functions of (inputs, seed).  Exit
-codes: 0 success, 2 validation/parse error, 3 infeasible size for the
-requested exact computation, 4 property-suite violation.
+codes: 0 success, 2 invalid input (a bad value, or a malformed, unreadable
+or non-JSON file), 3 infeasible size for the requested exact computation,
+4 property-suite violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GraphFormatError, InfeasibleSizeError, ValidationError
+from .errors import InfeasibleSizeError, ValidationError, require_int
 from .experiments import (
     ExperimentConfig,
     gamma_suite,
@@ -40,14 +42,12 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: invalid JSON ({e})") from None
+def _load_json(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def cmd_sample(args) -> int:
@@ -55,10 +55,9 @@ def cmd_sample(args) -> int:
     for fieldname in ("k", "pi", "P", "n"):
         if fieldname not in cfg:
             raise ValidationError(f"sample config missing field {fieldname!r}")
-    params = SbmParams(k=int(cfg["k"]), pi=np.array(cfg["pi"]), P=np.array(cfg["P"]))
-    n = int(cfg["n"])
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    labels, graph = sample_sbm(params, n, seed)
+    params = SbmParams(k=cfg["k"], pi=cfg["pi"], P=cfg["P"])
+    seed = require_int("seed", args.seed if args.seed is not None else cfg.get("seed", 0), low=0)
+    labels, graph = sample_sbm(params, cfg["n"], seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_graph_file(out / "graph.txt", graph)
@@ -100,18 +99,7 @@ def cmd_estimate(args) -> int:
             "epsilon": args.epsilon,
             "k_max": k_max,
             "k_hat": k_hat,
-            "rows": [
-                {
-                    "k": r.k,
-                    "log_kt": r.log_kt,
-                    "pen": r.pen,
-                    "score": r.score,
-                    "method": r.method,
-                    "std_error": r.std_error,
-                    "ess": r.ess,
-                }
-                for r in table.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in table.rows],
         }
         with open(out / "estimate.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -120,20 +108,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.k_max is not None:
-        overrides["k_max"] = args.k_max
-    if args.kt is not None:
-        overrides["kt_method"] = args.kt
+    config = ExperimentConfig.from_dict(_load_json(args.config))
     if args.out is not None:
-        overrides["output_path"] = str(args.out)
-    if overrides:
-        config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
+        config = dataclasses.replace(config, output_path=str(args.out))
     try:
         records = run_consistency(config, threads=args.threads)
     except InfeasibleSizeError as e:
@@ -169,13 +146,11 @@ def cmd_gap(args) -> int:
     cfg = _load_json(args.params)
     if "pi" not in cfg:
         raise ValidationError("params file must contain 'pi'")
-    pi = np.array(cfg["pi"], dtype=float)
     reported = False
     for key, fn, label in (("P", dense_gap, "dense"), ("S0", sparse_gap, "sparse")):
         if key in cfg:
-            M = np.array(cfg[key], dtype=float)
-            dup = identical_columns(M)
-            res = fn(pi, M)
+            res = fn(cfg["pi"], cfg[key])
+            dup = identical_columns(cfg[key])
             print(f"{label} gap: {res.gap:.9f}")
             print(f"  best merge pair: {res.best_pair}")
             print(f"  merged pi: {np.array2string(res.merged.pi_star, precision=6)}")
@@ -209,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("consistency", help="run a seeded consistency experiment")
     cp.add_argument("--config", required=True)
-    cp.add_argument("--seed", type=int, default=None)
-    cp.add_argument("--epsilon", type=float, default=None)
-    cp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    cp.add_argument("--kt", default=None)
     cp.add_argument("--threads", type=int, default=1)
     cp.add_argument("--out", default=None)
     cp.set_defaults(func=cmd_consistency)
@@ -237,10 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as e:
-        _log(f"error: {e}")
-        return EXIT_VALIDATION
-    except ValidationError as e:
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         _log(f"error: {e}")
         return EXIT_VALIDATION
     except InfeasibleSizeError as e:

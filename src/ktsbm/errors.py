@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size check."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -17,3 +19,11 @@ class GraphFormatError(ValidationError):
 
 class InfeasibleSizeError(RuntimeError):
     """Raised when an exact enumeration would exceed its fixed cap."""
+
+
+def require_int(name: str, value, low: int = 1) -> int:
+    """Return ``value`` as an int if it is an integer (numpy ones included,
+    bool excluded) of at least ``low``; raise ValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

@@ -12,15 +12,16 @@ stay byte-identical across thread counts.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .kt import gamma_composition_inequality, log_kt_marginal_exact, verify_prop31
 from .likelihood import fit_marginal_ml_batch
 from .sbm import LabelVector, SbmParams, SparseSchedule, enumerate_graphs, realize_sparse, sample_sbm
@@ -43,6 +44,22 @@ __all__ = [
 _NORM_TOL = 1e-10  # a normalization check passes when its total is within this of 1
 _N_MAX, _J_MAX = 200, 10  # Gamma suite: J <= _J_MAX parts, each at most _N_MAX // J
 _OVER_KS = (2, 3)  # the orders k > k0 = 1 that lemma_a2_suite checks
+
+
+def _require_real(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _require_list(name: str, value):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _floats(name: str, value) -> tuple[float, ...]:
+    return tuple(float(_require_real(f"{name} entry", v)) for v in _require_list(name, value))
 
 
 @dataclass(frozen=True)
@@ -68,19 +85,23 @@ class ExperimentConfig:
     output_path: str = "."
 
     def __post_init__(self):
+        for name in ("regime", "kt_method", "output_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.regime not in ("dense", "sparse"):
             raise ValidationError(f"regime must be 'dense' or 'sparse', got {self.regime!r}")
-        sizes = [("trials", self.trials, 1), ("k_max", self.k_max, 1), ("master_seed", self.master_seed, 0)]
-        for name, value, low in sizes + [("n_grid entry", v, 1) for v in self.n_grid]:
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
+        for name, low in (("k0", 1), ("trials", 1), ("k_max", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), low))
+        for name in ("epsilon", "c", "alpha"):
+            _require_real(name, getattr(self, name))
+        n_grid = tuple(require_int("n_grid entry", v) for v in _require_list("n_grid", self.n_grid))
+        if not n_grid or list(n_grid) != sorted(set(n_grid)):
             raise ValidationError("n_grid must be nonempty and strictly increasing")
         parse_kt_method(self.kt_method)
         PenaltySpec(self.epsilon)
-        object.__setattr__(self, "pi0", tuple(float(v) for v in self.pi0))
-        object.__setattr__(self, "P0", tuple(tuple(float(v) for v in row) for row in self.P0))
-        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        object.__setattr__(self, "pi0", _floats("pi0", self.pi0))
+        object.__setattr__(self, "P0", tuple(_floats("P0 row", row) for row in _require_list("P0", self.P0)))
+        object.__setattr__(self, "n_grid", n_grid)
 
     def params_at(self, n: int) -> SbmParams:
         pi = np.array(self.pi0)
@@ -99,20 +120,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValidationError(f"unknown config fields: {sorted(extra)}")
-        d = dict(d)
-        d["pi0"] = tuple(d["pi0"])
-        d["P0"] = tuple(tuple(r) for r in d["P0"])
-        d["n_grid"] = tuple(d["n_grid"])
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if unknown or missing:
+            raise ValidationError(f"config fields: unknown {unknown}, missing {missing}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -159,11 +171,8 @@ def run_consistency(config: ExperimentConfig, threads: int = 1, log=sys.stderr) 
     """Run all trials of the experiment; deterministic output regardless of
     the worker count."""
     jobs = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda nt: _run_trial(config, *nt), jobs))
-    else:
-        records = [_run_trial(config, n, t) for n, t in jobs]
+    with ThreadPoolExecutor(max_workers=require_int("threads", threads)) as pool:
+        records = list(pool.map(lambda nt: _run_trial(config, *nt), jobs))
     records.sort(key=lambda r: (r.n, r.trial_index))
     if log is not None:
         total = sum(r.wall_time for r in records)
@@ -310,6 +319,7 @@ def prop31_suite(n_values=(4, 5), k_values=(1, 2), em_starts: int = 16, seed: in
 
 def gamma_suite(count: int = 1000, seed: int = 0) -> SuiteReport:
     """Random compositions through the Gamma composition inequality."""
+    require_int("count", count)
     rng = rng_from_seed(derive_seed(seed, 0xA1))
     worst = -np.inf
     bad = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .partitions import (
     _cell_edges,
     _cell_pairs,
@@ -126,8 +126,7 @@ def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
     (distinct value assignments).  The per-partition terms are evaluated
     one budgeted pass at a time.
     """
-    if min(ks) < 1:
-        raise ValidationError(f"k must be >= 1, got {min(ks)}")
+    ks = [require_int("k", k) for k in ks]
     n = x.n
     table = require_partitions(n, min(max(ks), n))
     ho = graph_cell_edges(table, x.edges())
@@ -175,10 +174,8 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     delta-method standard error on the log scale and the Kish effective
     sample size (sum w)^2 / sum w^2 of the weights w = K(x|z).
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if samples < 100:
-        raise ValidationError(f"samples must be >= 100, got {samples}")
+    require_int("k", k)
+    require_int("samples", samples, low=100)
     from .seeds import rng_from_seed
 
     rng = rng_from_seed(seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import InfeasibleSizeError, ValidationError
+from .errors import InfeasibleSizeError, ValidationError, require_int
 from .kt import _logsumexp
 from .partitions import (
     _block_pairs,
@@ -202,8 +202,8 @@ def profile_label_search(
     runs greedy single-node relabel sweeps from seeded random starts and
     returns the best value found, which never exceeds the exact optimum.
     """
-    if k < 1 or restarts < 1:
-        raise ValidationError(f"k and restarts must be >= 1, got k={k}, restarts={restarts}")
+    require_int("k", k)
+    require_int("restarts", restarts)
     if mode == "exact":
         table = require_partitions(x.n, min(k, x.n))
         ho = graph_cell_edges(table, x.edges())
@@ -421,8 +421,8 @@ def fit_marginal_ml_batch(graphs, k: int, seeds, starts: int = 16) -> list[FitRe
     closed form; for k > 1, k**n above ``EM_CAP`` raises
     InfeasibleSizeError.
     """
-    if min(k, starts) < 1:
-        raise ValidationError(f"k and starts must be >= 1, got {k}, {starts}")
+    require_int("k", k)
+    require_int("starts", starts)
     graphs = list(graphs)
     seeds = list(seeds)
     if len(seeds) != len(graphs):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .partitions import _cell_edges, _cell_pairs, cell_layout
 from .seeds import rng_from_seed
 
@@ -48,10 +48,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; strings, bools and ragged lists raise ValidationError."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind in "iuf":
+            return a.astype(float, copy=False)
+    except ValueError:  # ragged nesting
+        pass
+    raise ValidationError(f"{name} must be an array of numbers, got {value!r}")
+
+
 def _check_symmetric_unit(P: np.ndarray, name: str) -> np.ndarray:
     """Validate a symmetric matrix with entries in [0, 1]; return an exactly
     symmetric copy (upper triangle mirrored onto the lower)."""
-    P = np.asarray(P, dtype=float)
+    P = _float_array(P, name)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
@@ -78,10 +89,8 @@ class SbmParams:
     P: np.ndarray
 
     def __post_init__(self):
-        k = self.k
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
-            raise ValidationError(f"k must be a positive integer, got {k!r}")
-        pi = np.asarray(self.pi, dtype=float)
+        k = require_int("k", self.k)
+        pi = _float_array(self.pi, "pi")
         if pi.shape != (k,):
             raise ValidationError(f"pi must have length {k}, got shape {pi.shape}")
         if np.any(pi <= 0.0):
@@ -91,7 +100,7 @@ class SbmParams:
         P = _check_symmetric_unit(self.P, "P")
         if P.shape != (k, k):
             raise ValidationError(f"P must be {k}x{k}, got {P.shape}")
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "pi", _freeze(pi.copy()))
         object.__setattr__(self, "P", _freeze(P))
 
@@ -134,9 +143,7 @@ class SparseSchedule:
 
     def rho(self, n: int) -> float:
         """rho_n, capped at 1."""
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
-        return min(self.rho_raw(n), 1.0)
+        return min(self.rho_raw(require_int("n", n)), 1.0)
 
 
 class LabelVector:
@@ -148,12 +155,11 @@ class LabelVector:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise ValidationError("labels must be a 1-d sequence")
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
-            raise ValidationError(f"k must be a positive integer, got {k!r}")
+        k = require_int("k", k)
         if labels.size and (labels.min() < 1 or labels.max() > k):
             raise ValidationError(f"labels must lie in [1, {k}]")
         self.labels = _freeze(labels.copy())
-        self.k = int(k)
+        self.k = k
 
     def __len__(self) -> int:
         return self.labels.size
@@ -179,14 +185,13 @@ class Graph:
     __slots__ = ("n", "pairs")
 
     def __init__(self, n: int, pairs: np.ndarray):
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValidationError(f"n must be a positive integer, got {n!r}")
+        n = require_int("n", n)
         pairs = np.asarray(pairs, dtype=bool)
-        if pairs.shape != (_pair_count(int(n)),):
+        if pairs.shape != (_pair_count(n),):
             raise ValidationError(
-                f"pairs must have length n(n-1)/2 = {_pair_count(int(n))}, got {pairs.shape}"
+                f"pairs must have length n(n-1)/2 = {_pair_count(n)}, got {pairs.shape}"
             )
-        self.n = int(n)
+        self.n = n
         self.pairs = _freeze(pairs.copy())
 
     @classmethod
@@ -322,8 +327,7 @@ def sample_sbm(params: SbmParams, n: int, seed: int) -> tuple[LabelVector, Graph
     Deterministic given (params, n, seed): the Philox stream is consumed as
     n label uniforms followed by n(n-1)/2 pair uniforms in condensed order.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = require_int("n", n)
     rng = rng_from_seed(seed)
     cum = np.cumsum(params.pi)
     u = rng.random(n)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kt
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .kt import log_kt_marginal_mc, prop31_bound
 from .likelihood import gamma_fn, max_complete_log_lik, profile_label_search, tau_fn
-from .sbm import Graph, LabelVector, _check_symmetric_unit
+from .sbm import Graph, LabelVector, _check_symmetric_unit, _float_array
 from .seeds import derive_seed
 
 __all__ = [
@@ -81,10 +81,8 @@ def penalty_closed_coefficient(k: int, epsilon):
 
 def penalty(k: int, n: int, spec: PenaltySpec) -> float:
     """pen(k, n); strictly increasing in k, zero at k = 1."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    require_int("k", k)
+    require_int("n", n)
     return float(penalty_sum_coefficient(k, spec.epsilon)) * float(np.log(n))
 
 
@@ -112,14 +110,12 @@ def parse_kt_method(method: str) -> tuple[str, int | None]:
     """'exact' -> ('exact', None); 'mc:SAMPLES' -> ('mc', SAMPLES)."""
     if method == "exact":
         return "exact", None
-    if method.startswith("mc:"):
+    if isinstance(method, str) and method.startswith("mc:"):
         try:
             samples = int(method.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad sample count in kt method {method!r}") from None
-        if samples < 100:
-            raise ValidationError("mc sample count must be >= 100")
-        return "mc", samples
+        return "mc", require_int("mc sample count", samples, low=100)
     raise ValidationError(f"unknown kt method {method!r}; expected 'exact' or 'mc:SAMPLES'")
 
 
@@ -136,8 +132,7 @@ def estimate_order(
     audit table.  Monte Carlo KT values derive per-k seeds from ``seed``
     and are tagged in the table.
     """
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    require_int("k_max", k_max)
     kind, samples = parse_kt_method(kt_method)
     n = x.n
     if kind == "exact":
@@ -203,7 +198,7 @@ def merge_blocks(pi, P, a: int, b: int) -> MergeResult:
     the merged block are pi-weighted averages, so the overall expected edge
     density is preserved exactly.
     """
-    pi = np.asarray(pi, dtype=float)
+    pi = _float_array(pi, "pi")
     k = pi.size
     if k < 2:
         raise ValidationError("merging needs at least 2 blocks")
@@ -240,7 +235,7 @@ class GapResult:
 
 
 def _pairwise_gap(pi0, P0, kernel) -> GapResult:
-    pi0 = np.asarray(pi0, dtype=float)
+    pi0 = _float_array(pi0, "pi0")
     k0 = pi0.size
     if k0 < 2:
         raise ValidationError("gap functionals need k0 >= 2")

@@ -1,9 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ktsbm import PenaltySpec, estimate_order, read_graph_file
 from ktsbm.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SMALL_CONFIG = {
+    "k0": 1,
+    "pi0": [1.0],
+    "P0": [[0.5]],
+    "regime": "dense",
+    "n_grid": [4],
+    "trials": 1,
+    "epsilon": 1.0,
+    "k_max": 2,
+    "kt_method": "exact",
+    "master_seed": 1,
+}
 
 
 def run_cli(capsys, *argv):
@@ -144,25 +162,34 @@ def test_consistency_infeasible_names_k_max(tmp_path, capsys):
     assert "--kt" not in err
 
 
+_MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("n_grid", []), ("n_grid", [4, 6.5]), ("trials", 2.5), ("k_max", 2.5), ("k_max", 0), ("master_seed", -1)],
+    [
+        ("n_grid", []),
+        ("n_grid", [4, 6.5]),
+        ("trials", 2.5),
+        ("k_max", 2.5),
+        ("k_max", 0),
+        ("master_seed", -1),
+        ("epsilon", "x"),
+        ("kt_method", 5),
+        ("n_grid", 5),
+        ("pi0", ["a", 1]),
+        ("k0", 0),
+        ("output_path", 5),
+        pytest.param("trials", _MISSING, id="trials-missing"),
+    ],
 )
 def test_consistency_rejects_malformed_config(tmp_path, capsys, field, value):
-    config = {
-        "k0": 1,
-        "pi0": [1.0],
-        "P0": [[0.5]],
-        "regime": "dense",
-        "n_grid": [4],
-        "trials": 1,
-        "epsilon": 1.0,
-        "k_max": 2,
-        "kt_method": "exact",
-        "master_seed": 1,
-    }
+    config = dict(SMALL_CONFIG)
+    config[field] = value
+    if value is _MISSING:
+        del config[field]
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({**config, field: value}))
+    cfg.write_text(json.dumps(config))
     code, _, err = run_cli(capsys, "consistency", "--config", str(cfg), "--out", str(tmp_path / "r"))
     assert code == 2
     assert err.startswith("error: ") and field in err
@@ -228,3 +255,34 @@ def test_gap_cli_validation(tmp_path, capsys):
     params.write_text(json.dumps({"pi": [0.5, 0.5]}))
     code, _, err = run_cli(capsys, "gap", str(params))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["estimate", "missing.txt"], id="missing-graph"),
+        pytest.param(["consistency", "--config", "missing.json"], id="missing-config"),
+        pytest.param(["sample", "--config", "broken.json"], id="invalid-json"),
+        pytest.param(["gap", "list.json"], id="json-list"),
+        pytest.param(["sample", "--config", "fractional_n.json"], id="sample-fractional-n"),
+        pytest.param(["sample", "--config", "text_pi.json"], id="sample-text-pi"),
+        pytest.param(["estimate", "binary.txt"], id="non-utf8-graph"),
+        pytest.param(["consistency", "--config", "exp.json", "--threads", "0"], id="threads-0"),
+        pytest.param(["verify", "gamma_ineq", "--count", "0"], id="count-0"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, argv):
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "fractional_n.json").write_text(json.dumps({"k": 1, "pi": [1.0], "P": [[0.5]], "n": 4.7}))
+    (tmp_path / "text_pi.json").write_text(json.dumps({"k": 1, "pi": ["a"], "P": [[0.5]], "n": 4}))
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")
+    (tmp_path / "exp.json").write_text(json.dumps(SMALL_CONFIG))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktsbm.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

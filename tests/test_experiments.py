@@ -36,7 +36,8 @@ def test_config_round_trip_lossless(tmp_path):
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
         json.dump(cfg.to_dict(), fh)
-    back = ExperimentConfig.from_json(path)
+    with open(path) as fh:
+        back = ExperimentConfig.from_dict(json.load(fh))
     assert back == cfg
     assert back.epsilon == cfg.epsilon  # bit-exact float round trip
 
