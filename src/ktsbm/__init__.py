@@ -20,7 +20,6 @@ from .likelihood import (
     FitResult,
     complete_log_prob,
     fit_marginal_ml,
-    fit_marginal_ml_batch,
     gamma_fn,
     marginal_log_lik_exact,
     max_complete_log_lik,
@@ -28,6 +27,7 @@ from .likelihood import (
     profile_label_search,
     sparse_decomposition_check,
     sparse_decomposition_parts,
+    sup_log_lik_upper_bound,
     tau_fn,
 )
 from .sbm import (

@@ -52,9 +52,10 @@ def _load_json(path) -> dict:
 
 def cmd_sample(args) -> int:
     cfg = _load_json(args.config)
-    for fieldname in ("k", "pi", "P", "n"):
-        if fieldname not in cfg:
-            raise ValidationError(f"sample config missing field {fieldname!r}")
+    unknown = sorted(set(cfg) - {"k", "pi", "P", "n", "seed"})
+    missing = [name for name in ("k", "pi", "P", "n") if name not in cfg]
+    if unknown or missing:
+        raise ValidationError(f"sample config fields: unknown {unknown}, missing {missing}")
     params = SbmParams(k=cfg["k"], pi=cfg["pi"], P=cfg["P"])
     seed = require_int("seed", args.seed if args.seed is not None else cfg.get("seed", 0), low=0)
     labels, graph = sample_sbm(params, cfg["n"], seed)
@@ -67,14 +68,15 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _k_max_hint(n: int) -> str:
-    """Point an infeasible exact request at the largest feasible k_max >= 2."""
+def _k_max_hint(n: int, how: str) -> str:
+    """Point an infeasible exact request at the largest feasible k_max >= 2;
+    ``how`` says where k_max is set ("rerun with --k-max")."""
     k = 1
     while k < n and partition_count(n, k + 1) <= TABLE_CAP:
         k += 1
     if k < 2:
         return f"exact KT is infeasible at n={n} for any k_max >= 2"
-    return f"rerun with --k-max {k}, the largest k_max under the cap at n={n}"
+    return f"{how} {k}, the largest k_max under the cap at n={n}"
 
 
 def cmd_estimate(args) -> int:
@@ -84,7 +86,7 @@ def cmd_estimate(args) -> int:
     try:
         k_hat, table = estimate_order(graph, spec, k_max=k_max, kt_method=args.kt, seed=args.seed or 0)
     except InfeasibleSizeError as e:
-        raise InfeasibleSizeError(f"{e}; {_k_max_hint(graph.n)}") from None
+        raise InfeasibleSizeError(f"{e}; {_k_max_hint(graph.n, 'rerun with --k-max')}") from None
     header = f"{'k':>3} {'log_kt':>14} {'pen':>12} {'score':>14} method"
     print(header)
     for r in table.rows:
@@ -114,7 +116,8 @@ def cmd_consistency(args) -> int:
     try:
         records = run_consistency(config, threads=args.threads)
     except InfeasibleSizeError as e:
-        raise InfeasibleSizeError(f"{e}; {_k_max_hint(max(config.n_grid))}") from None
+        hint = _k_max_hint(max(config.n_grid), "set the config field k_max to")
+        raise InfeasibleSizeError(f"{e}; {hint}") from None
     paths = write_outputs(config, records, config.output_path)
     _log(f"[consistency] wrote {paths['trials']}, {paths['summary']}, {paths['config']}")
     return EXIT_OK
@@ -126,7 +129,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "prop31":
         n_values = args.n or [4, 5]
         k_values = args.k or [1, 2]
-        report = prop31_suite(n_values=n_values, k_values=k_values, seed=args.seed or 0)
+        report = prop31_suite(n_values=n_values, k_values=k_values)
     elif args.suite == "gamma_ineq":
         report = gamma_suite(count=args.count, seed=args.seed or 0)
     elif args.suite == "lemmaA2":

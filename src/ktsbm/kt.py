@@ -241,7 +241,9 @@ def verify_prop31(x: Graph, k: int, sup_approx: float) -> tuple[float, float, bo
     """Check sup log-likelihood minus log KT against the uniform bound.
 
     With an approximate sup this is a necessary-condition test: any found
-    likelihood value must stay below the bound.  Returns (lhs, rhs, holds).
+    likelihood value must stay below the bound.  With an upper bound on the
+    sup (``likelihood.sup_log_lik_upper_bound``) a pass is a proof.
+    Returns (lhs, rhs, holds).
     """
     bound = prop31_bound(k, x.n)
     lhs = sup_approx - log_kt_marginal_exact(x, k).log_value

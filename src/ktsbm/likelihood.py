@@ -24,6 +24,7 @@ from .partitions import (
     _block_pairs,
     _budget_passes,
     _cell_edges,
+    _log_gamma_tables,
     _passes,
     cell_layout,
     graph_cell_edges,
@@ -42,10 +43,10 @@ __all__ = [
     "mle_from_labels",
     "max_complete_log_lik",
     "profile_label_search",
+    "sup_log_lik_upper_bound",
     "marginal_log_lik_exact",
     "FitResult",
     "fit_marginal_ml",
-    "fit_marginal_ml_batch",
     "sparse_decomposition_check",
     "sparse_decomposition_parts",
 ]
@@ -187,6 +188,18 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
     return LabelVector(lab + 1, k), val
 
 
+def _profile_values(x: Graph, k: int):
+    """The canonical partition table with at most k blocks, under the table
+    cap, and the plug-in value of each partition, one budgeted pass at a
+    time."""
+    table = require_partitions(x.n, min(k, x.n))
+    ho = graph_cell_edges(table, x.edges())
+    obj = np.empty(table.size)
+    for lo, hi in _passes(table.size, x.n, table.m_max, 0):
+        obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], x.n)
+    return table, obj
+
+
 def profile_label_search(
     x: Graph,
     k: int,
@@ -205,16 +218,27 @@ def profile_label_search(
     require_int("k", k)
     require_int("restarts", restarts)
     if mode == "exact":
-        table = require_partitions(x.n, min(k, x.n))
-        ho = graph_cell_edges(table, x.edges())
-        obj = np.empty(table.size)
-        for lo, hi in _passes(table.size, x.n, table.m_max, 0):
-            obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], x.n)
+        table, obj = _profile_values(x, k)
         best = int(np.argmax(obj))
         return LabelVector(table.codes[best] + 1, k), float(obj[best])
     if mode == "local":
         return _local_profile_search(x, k, restarts, seed)
     raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'local'")
+
+
+def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
+    """log sum over all k**n labelings z of exp(max_complete_log_lik(z, x, k)).
+
+    sup_theta log P_theta(x) = sup_theta log sum_z P_theta(z, x), and the sup
+    of a sum is at most the sum of the sups, so this bounds the marginal
+    sup from above; at k = 1 there is one labeling and it is the sup.  The
+    sum runs over canonical partitions, a partition with m blocks standing
+    for its k!/(k-m)! labelings.
+    """
+    require_int("k", k)
+    table, obj = _profile_values(x, k)
+    log_fact = _log_gamma_tables(max(x.n, k))[1]
+    return _logsumexp(obj + log_fact[k] - log_fact[k - table.nblocks])
 
 
 def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:
@@ -228,7 +252,7 @@ def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:
     logP = _safe_log(params.P[cell_a, cell_b])
     log1mP = _safe_log(1.0 - params.P[cell_a, cell_b])
     chunks = []
-    for counts, hn, (ho,) in iter_labeling_stats(n, k, [x.edges()]):
+    for counts, hn, ho in iter_labeling_stats(n, k, x.edges()):
         ll = counts @ log_pi + ho @ logP + (hn - ho) @ log1mP
         chunks.append(_logsumexp(ll))
     return _logsumexp(np.array(chunks))
@@ -262,127 +286,46 @@ def _finish_params(pi: np.ndarray, P: np.ndarray, k: int) -> SbmParams:
     return SbmParams(k=k, pi=pi, P=np.clip(P, 0.0, 1.0))
 
 
-def _em_starts(seeds, k, C, starts):
-    """Initial (pi, P cells) of every (graph, start) run, graph-major: each
-    graph's random starts come from its own seed's stream."""
-    pis, Pcs = [], []
-    for seed in seeds:
-        rng = rng_from_seed(derive_seed(seed, 0xE3))
-        pis.append(rng.dirichlet(np.ones(k), size=starts))
-        Pcs.append(rng.uniform(0.05, 0.95, size=(starts, C)))
-    return np.vstack(pis), np.vstack(Pcs)
+def _em_runs(stats, pis, Pcs, n):
+    """Exact EM on R independent runs on one graph, from the starts (R, k)
+    ``pis`` and (R, C) ``Pcs``, which are updated in place to each run's
+    final parameters.
 
-
-def _em_runs(stats, graph_of, pis, Pcs, n):
-    """Exact EM on R independent runs; run r fits graph ``graph_of[r]``.
-
-    ``stats`` (G, k + 2C, L) holds, for each graph and each of the L
-    labelings, the block sizes, then the edges and the non-edges per cell.
+    ``stats`` (k + 2C, L) holds, for each of the L labelings, the block
+    sizes, then the edges and the non-edges per cell.  The non-edges are
+    kept apart from the edges: with the -1e300 floor of _safe_log, the
+    rewrite ho*(log P - log(1-P)) + hn*log(1-P) cancels catastrophically.
     Every iteration computes only the runs still going; a run stops at its
-    own convergence or at ``_EM_MAX_ITER``.  Returns per run the final
-    log-likelihood, iteration count, converged flag and (pi, P cells), and
-    the trail: per iteration, the log-likelihoods of the runs going and, if
-    some stopped, the mask of those that go on.
+    own convergence or at ``_EM_MAX_ITER``.  Returns per run the iteration
+    count, the converged flag and the (R, _EM_MAX_ITER) log-likelihood
+    history, valid up to the iteration count.
     """
     R, k = pis.shape
     C = Pcs.shape[1]
-    # the statistics of the runs still going; mode="clip" writes straight
-    # into the buffer (the indices are in range)
-    cells = np.empty((R,) + stats.shape[1:])
-    np.take(stats, graph_of, axis=0, out=cells, mode="clip")
     run = np.arange(R)
     ll_prev = np.full(R, -np.inf)
-    final_ll = np.empty(R)
     iters = np.full(R, _EM_MAX_ITER)
     converged = np.zeros(R, dtype=bool)
-    final_pi = np.empty_like(pis)
-    final_P = np.empty_like(Pcs)
-    trail = []
+    history = np.empty((R, _EM_MAX_ITER))
     for it in range(_EM_MAX_ITER):
-        ll_mat = np.einsum("rjl,rj->rl", cells, _safe_log(np.hstack([pis, Pcs, 1.0 - Pcs])))
+        ll_mat = _safe_log(np.hstack([pis[run], Pcs[run], 1.0 - Pcs[run]])) @ stats
         top = ll_mat.max(axis=1)
         ll_mat -= top[:, None]
         e = np.exp(ll_mat, out=ll_mat)
         total = e.sum(axis=1)
-        ll = np.log(total) + top
-        trail.append([ll, None])
+        ll = history[run, it] = np.log(total) + top
         done = np.abs(ll - ll_prev) < _EM_TOL * np.maximum(np.abs(ll_prev), 1.0)
         ll_prev = ll
         if done.any():
-            stop = run[done]
-            final_ll[stop], iters[stop], converged[stop] = ll[done], it + 1, True
-            final_pi[stop], final_P[stop] = pis[done], Pcs[done]
-            going = trail[-1][1] = ~done
-            run, ll_prev, pis, Pcs, e, total = (a[going] for a in (run, ll_prev, pis, Pcs, e, total))
+            iters[run[done]], converged[run[done]] = it + 1, True
+            run, ll_prev, e, total = (a[~done] for a in (run, ll_prev, e, total))
             if not run.size:
                 break
-            cells = cells[: run.size]
-            np.take(stats, graph_of[run], axis=0, out=cells, mode="clip")
-        expected = np.einsum("rjl,rl->rj", cells, e) / total[:, None]
-        pis = expected[:, :k] / n
+        expected = (e @ stats.T) / total[:, None]
+        pis[run] = expected[:, :k] / n
         edges, rest = expected[:, k : k + C], expected[:, k + C :]
-        Pcs = _pair_ratio(edges, edges + rest)
-    final_ll[run], final_pi[run], final_P[run] = ll_prev, pis, Pcs
-    return final_ll, iters, converged, final_pi, final_P, trail
-
-
-def _run_histories(trail, runs, iters):
-    """Per-iteration log-likelihoods of the given runs from an ``_em_runs``
-    trail, (len(runs), T); row j is valid up to ``iters[runs[j]]``."""
-    out = np.empty((len(runs), int(iters[runs].max())))
-    pos = runs  # each run's row among the runs going
-    for t in range(out.shape[1]):
-        ll, going = trail[t]
-        out[:, t] = ll[pos]
-        if going is not None:
-            pos = (np.cumsum(going) - 1)[pos].clip(min=0)  # a stopped run's row is not read again
-    return out
-
-
-def _fit_exact(graphs, k, starts, seeds):
-    """Exact EM for a list of graphs on the same n, one seed per graph.
-
-    Every (graph, start) pair is an independent run.  Runs are processed in
-    groups whose temporaries stay under ``partitions._STATS_BYTES``; each
-    graph keeps its best start (the first on ties).
-    """
-    n = graphs[0].n
-    counts, hn, ho = labeling_stats(n, k, [g.edges() for g in graphs])
-    L, C = hn.shape
-    pis, Pcs = _em_starts(seeds, k, C, starts)
-    best: list[FitResult | None] = [None] * len(graphs)
-    # Per run: its statistics and at most as much again for its graph's,
-    # four (L,) work arrays and its trail.  The non-edges are kept apart
-    # from the edges: with the -1e300 floor of _safe_log, the rewrite
-    # ho*(log P - log(1-P)) + hn*log(1-P) cancels catastrophically.
-    J = k + 2 * C
-    for lo, hi in _budget_passes(pis.shape[0], 9 * _EM_MAX_ITER + 8 * L * (2 * J + 4)):
-        g_lo, g_hi = lo // starts, (hi - 1) // starts + 1
-        edges = ho[g_lo:g_hi].transpose(0, 2, 1)
-        shared = np.broadcast_to(counts.T, (g_hi - g_lo, k, L))
-        stats = np.concatenate([shared, edges, hn.T - edges], axis=1).astype(float)
-        ll, iters, conv, pi, Pc, trail = _em_runs(
-            stats, np.arange(lo, hi) // starts - g_lo, pis[lo:hi], Pcs[lo:hi], n
-        )
-        # each graph's best start in this group
-        tops = [
-            a + int(np.argmax(ll[a:b]))
-            for a, b in (
-                (max(g * starts, lo) - lo, min((g + 1) * starts, hi) - lo) for g in range(g_lo, g_hi)
-            )
-        ]
-        history = _run_histories(trail, np.array(tops), iters)
-        for g, i, h in zip(range(g_lo, g_hi), tops, history):
-            if best[g] is None or ll[i] > best[g].log_marginal:
-                best[g] = FitResult(
-                    params=_finish_params(pi[i], _cells_to_matrix(Pc[i], k), k),
-                    log_marginal=float(ll[i]),
-                    iterations=int(iters[i]),
-                    converged=bool(conv[i]),
-                    estep="exact",
-                    history=tuple(h[: iters[i]].tolist()),
-                )
-    return best
+        Pcs[run] = _pair_ratio(edges, edges + rest)
+    return iters, converged, history
 
 
 def _fit_one_block(x: Graph) -> FitResult:
@@ -403,42 +346,44 @@ def _fit_one_block(x: Graph) -> FitResult:
 def fit_marginal_ml(x: Graph, k: int, starts: int = 16, seed: int = 0) -> FitResult:
     """Approximate sup over (pi, P) of the marginal log-likelihood log P(x).
 
-    Exact EM, best of ``starts`` seeded random initializations; the
-    per-iteration log-marginal trace of a run is non-decreasing.  The
-    E-step enumerates all k**n labelings, so k**n above ``EM_CAP``
-    raises InfeasibleSizeError.  This is ``fit_marginal_ml_batch`` on the
-    one graph.
-    """
-    return fit_marginal_ml_batch([x], k, [seed], starts)[0]
-
-
-def fit_marginal_ml_batch(graphs, k: int, seeds, starts: int = 16) -> list[FitResult]:
-    """``fit_marginal_ml`` on every graph of a list, all on the same n, with
-    one seed per graph.
-
-    The graphs share the labeling enumeration and run as one batch; each
-    (graph, start) pair is still an independent EM run.  k = 1 has a
-    closed form; for k > 1, k**n above ``EM_CAP`` raises
-    InfeasibleSizeError.
+    Exact EM, best of ``starts`` seeded random initializations (the first
+    on ties); the per-iteration log-marginal trace of a run is
+    non-decreasing.  k = 1 has a closed form.  For k > 1 the E-step
+    enumerates all k**n labelings, so k**n above ``EM_CAP`` raises
+    InfeasibleSizeError.  The starts run in groups whose temporaries stay
+    under ``partitions._STATS_BYTES``.
     """
     require_int("k", k)
     require_int("starts", starts)
-    graphs = list(graphs)
-    seeds = list(seeds)
-    if len(seeds) != len(graphs):
-        raise ValidationError(f"{len(graphs)} graphs but {len(seeds)} seeds")
-    if not graphs:
-        return []
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValidationError("fit_marginal_ml_batch requires graphs on the same number of nodes")
+    n = x.n
     if n < 2:
-        raise ValidationError("fit_marginal_ml_batch requires n >= 2")
+        raise ValidationError("fit_marginal_ml requires n >= 2")
     if k == 1:
-        return [_fit_one_block(g) for g in graphs]
+        return _fit_one_block(x)
     if k**n > EM_CAP:
         raise InfeasibleSizeError(f"exact enumeration needs k**n = {k**n} labelings, above the cap {EM_CAP}")
-    return _fit_exact(graphs, k, starts, seeds)
+    counts, hn, ho = labeling_stats(n, k, x.edges())
+    stats = np.vstack([counts.T, ho.T, (hn - ho).T]).astype(float)
+    L, C = hn.shape
+    rng = rng_from_seed(derive_seed(seed, 0xE3))
+    pis = rng.dirichlet(np.ones(k), size=starts)
+    Pcs = rng.uniform(0.05, 0.95, size=(starts, C))
+    best = None
+    # per run: its history row and four (L,) work arrays
+    for lo, hi in _budget_passes(starts, 8 * (_EM_MAX_ITER + 4 * L)):
+        iters, conv, history = _em_runs(stats, pis[lo:hi], Pcs[lo:hi], n)
+        ll = history[np.arange(hi - lo), iters - 1]
+        i = int(np.argmax(ll))
+        if best is None or ll[i] > best.log_marginal:
+            best = FitResult(
+                params=_finish_params(pis[lo + i], _cells_to_matrix(Pcs[lo + i], k), k),
+                log_marginal=float(ll[i]),
+                iterations=int(iters[i]),
+                converged=bool(conv[i]),
+                estep="exact",
+                history=tuple(history[i, : iters[i]].tolist()),
+            )
+    return best
 
 
 def sparse_decomposition_parts(

@@ -233,36 +233,16 @@ def _decode_labelings(lo: int, hi: int, n: int, k: int) -> np.ndarray:
     return ((idx[:, None] // powers) % k).astype(np.int8)
 
 
-def iter_labeling_stats(n: int, k: int, edge_sets):
+def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
     """Yield (counts, hn, ho) over all k**n labelings, one budgeted pass at
-    a time.
-
-    counts is (L, k) and hn (L, C) in the condensed cell layout of k; ho
-    stacks the edges per cell of each graph of ``edge_sets``, (G, L, C).
-    """
-    m = max((len(edges) for edges in edge_sets), default=0)
-    for lo, hi in _passes(k**n, n, k, m):
+    a time: block sizes (L, k), and node pairs and edges per cell (L, C) in
+    the condensed cell layout of k."""
+    for lo, hi in _passes(k**n, n, k, len(edges)):
         codes = _decode_labelings(lo, hi, n, k)
-        ho = np.empty((len(edge_sets), hi - lo, k * (k + 1) // 2), dtype=np.int64)
-        for g, edges in enumerate(edge_sets):
-            ho[g] = _cell_edges(codes, k, edges)
-        yield (*_cell_pairs(codes, k), ho)
+        yield (*_cell_pairs(codes, k), _cell_edges(codes, k, edges))
 
 
-def labeling_stats(n: int, k: int, edge_sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def labeling_stats(n: int, k: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialized ``iter_labeling_stats`` of every labeling in {1..k}^n
-    (for exact EM): block sizes (L, k) and node pairs per cell (L, C),
-    shared by all graphs on n nodes, and edges per cell stacked per graph
-    of ``edge_sets``, (G, L, C).  Callers bound k**n.
-    """
-    total = k**n
-    C = k * (k + 1) // 2
-    counts = np.empty((total, k), dtype=np.int64)
-    hn = np.empty((total, C), dtype=np.int64)
-    ho = np.empty((len(edge_sets), total, C), dtype=np.int64)
-    lo = 0
-    for pass_counts, pass_hn, pass_ho in iter_labeling_stats(n, k, edge_sets):
-        hi = lo + len(pass_counts)
-        counts[lo:hi], hn[lo:hi], ho[:, lo:hi] = pass_counts, pass_hn, pass_ho
-        lo = hi
-    return counts, hn, ho
+    (for exact EM).  Callers bound k**n."""
+    return tuple(np.concatenate(parts) for parts in zip(*iter_labeling_stats(n, k, edges)))

@@ -22,7 +22,7 @@ from . import kt
 from .errors import ValidationError, require_int
 from .kt import log_kt_marginal_mc, prop31_bound
 from .likelihood import gamma_fn, max_complete_log_lik, profile_label_search, tau_fn
-from .sbm import Graph, LabelVector, _check_symmetric_unit, _float_array
+from .sbm import _PI_TOL, Graph, LabelVector, _check_symmetric_unit, _float_array
 from .seeds import derive_seed
 
 __all__ = [
@@ -191,7 +191,8 @@ class MergeResult:
 
 
 def merge_blocks(pi, P, a: int, b: int) -> MergeResult:
-    """Combine blocks a and b (1-based) of (pi, P) into one.
+    """Combine blocks a and b (1-based) of (pi, P) into one; pi must be
+    strictly positive and sum to 1.
 
     The merged block sits at position min(a, b); all other blocks keep
     their relative order and their mutual edge probabilities.  Rates into
@@ -208,6 +209,8 @@ def merge_blocks(pi, P, a: int, b: int) -> MergeResult:
         raise ValidationError(f"labels must lie in [1, {k}]")
     if np.any(pi <= 0):
         raise ValidationError("pi must be strictly positive")
+    if abs(pi.sum() - 1.0) > _PI_TOL:
+        raise ValidationError(f"pi must sum to 1 within {_PI_TOL}, got {pi.sum()!r}")
     P = _check_symmetric_unit(P, "P")
     if P.shape != (k, k):
         raise ValidationError(f"P must be {k}x{k}")

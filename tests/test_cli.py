@@ -158,8 +158,8 @@ def test_consistency_infeasible_names_k_max(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "consistency", "--config", str(cfg), "--out", str(tmp_path / "r"))
     assert code == 3
-    assert "--k-max 4," in err
-    assert "--kt" not in err
+    assert "set the config field k_max to 4," in err
+    assert "--k-max" not in err and "--kt" not in err
 
 
 _MISSING = object()
@@ -248,6 +248,23 @@ def test_gap_cli_reducible_warning(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gap", str(params))
     assert code == 0
     assert "reducible" in out
+
+
+def test_gap_cli_rejects_unnormalized_pi(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"pi": [0.3, 0.3], "P": [[0.8, 0.2], [0.2, 0.8]]}))
+    code, out, err = run_cli(capsys, "gap", str(params))
+    assert code == 2
+    assert "pi must sum to 1" in err and "gap" not in out
+
+
+def test_sample_rejects_unknown_config_fields(tmp_path, capsys):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"k": 1, "pi": [1.0], "P": [[0.5]], "n": 4, "sead": 3, "extra": 1}))
+    code, _, err = run_cli(capsys, "sample", "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert "unknown ['extra', 'sead']" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_gap_cli_validation(tmp_path, capsys):

@@ -8,6 +8,7 @@ from ktsbm.experiments import (
     ExperimentConfig,
     gamma_suite,
     lemma_a2_suite,
+    prop31_suite,
     run_consistency,
     write_outputs,
 )
@@ -110,6 +111,22 @@ def test_sparse_rho_column():
 def test_gamma_suite_passes():
     rep = gamma_suite(count=300, seed=5)
     assert rep.ok
+
+
+def test_prop31_suite_is_certified_without_em(monkeypatch):
+    from ktsbm import likelihood
+
+    def no_em(*args):
+        raise AssertionError("prop31_suite ran EM")
+
+    monkeypatch.setattr(likelihood, "_em_runs", no_em)
+    rep = prop31_suite(n_values=(4,), k_values=(1, 2, 3))
+    assert rep.ok
+    for label, _, detail in rep.checks:
+        assert label.endswith("(certified)")
+        assert detail.startswith("worst slack ") and detail.endswith(" over 64 graphs")
+    # em_starts and seed have no effect
+    assert prop31_suite(n_values=(4,), k_values=(2,), em_starts=2, seed=3).checks == rep.checks[1:2]
 
 
 def test_lemma_a2_suite_passes():

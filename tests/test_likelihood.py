@@ -15,7 +15,6 @@ from ktsbm import (
     complete_log_prob,
     enumerate_graphs,
     fit_marginal_ml,
-    fit_marginal_ml_batch,
     gamma_fn,
     log_kt_marginal_exact,
     log_kt_marginal_mc,
@@ -26,6 +25,7 @@ from ktsbm import (
     sample_sbm,
     sparse_decomposition_check,
     sparse_decomposition_parts,
+    sup_log_lik_upper_bound,
     tau_fn,
 )
 from ktsbm.seeds import derive_seed
@@ -316,7 +316,7 @@ def test_fit_beats_grid_oracle():
 
     from ktsbm.partitions import labeling_stats
 
-    counts, hn, (ho,) = labeling_stats(4, 2, [g.edges()])
+    counts, hn, ho = labeling_stats(4, 2, g.edges())
     grid = np.arange(0.05, 0.951, 0.05)
     p1, c11, c12, c22 = [a.ravel() for a in np.meshgrid(grid, grid, grid, grid, indexing="ij")]
     logpi = np.log(np.column_stack([p1, 1 - p1]))
@@ -348,19 +348,15 @@ def test_fit_converges_on_empty_and_complete_graphs(n, complete):
 
 
 def _suite_fits(n, seed=0):
-    """The batched k=2 fits of prop31_suite over every graph on n nodes."""
+    """k=2 fits of every graph on n nodes, one seed per graph."""
     graphs = list(enumerate_graphs(n))
-    seeds = [derive_seed(seed, n, 2, idx) for idx in range(len(graphs))]
-    return graphs, seeds, fit_marginal_ml_batch(graphs, 2, seeds)
+    return [fit_marginal_ml(g, 2, seed=derive_seed(seed, n, 2, idx)) for idx, g in enumerate(graphs)]
 
 
-def test_fit_batch_matches_per_graph_fits():
-    graphs, seeds, fits = _suite_fits(4)
+def test_fit_histories_on_every_4_node_graph():
+    fits = _suite_fits(4)
     assert len(fits) == 64
-    for g, seed, fit in zip(graphs, seeds, fits):
-        single = fit_marginal_ml(g, 2, seed=seed)
-        assert fit.log_marginal == pytest.approx(single.log_marginal, abs=1e-12)
-        assert fit.converged == single.converged
+    for fit in fits:
         assert fit.estep == "exact"
         # exact EM never decreases the log-likelihood
         assert np.all(np.diff(fit.history) >= -1e-9)
@@ -368,15 +364,15 @@ def test_fit_batch_matches_per_graph_fits():
         assert fit.history[-1] == fit.log_marginal
 
 
-def test_fit_batch_does_not_depend_on_the_byte_budget(monkeypatch):
+def test_fit_does_not_depend_on_the_byte_budget(monkeypatch):
     from ktsbm import likelihood, partitions
 
-    _, _, default = _suite_fits(4)
+    default = _suite_fits(4)
     groups = []
     em_runs = likelihood._em_runs
     monkeypatch.setattr(likelihood, "_em_runs", lambda *a: groups.append(1) or em_runs(*a))
     monkeypatch.setattr(partitions, "_STATS_BYTES", 32 << 10)
-    _, _, small = _suite_fits(4)
+    small = _suite_fits(4)
     assert len(groups) > 64  # fewer runs per group than starts per graph
     for want, got in zip(default, small):
         assert got.log_marginal == pytest.approx(want.log_marginal, abs=1e-12)
@@ -384,30 +380,61 @@ def test_fit_batch_does_not_depend_on_the_byte_budget(monkeypatch):
         assert got.iterations == want.iterations
 
 
-def test_fit_batch_validation():
+def test_fit_validation():
+    g1 = Graph.from_edges(1, [])
     g4 = Graph.from_edges(4, [(0, 1)])
-    g5 = Graph.from_edges(5, [(0, 1)])
-    assert fit_marginal_ml_batch([], 2, []) == []
     with pytest.raises(ValidationError):
-        fit_marginal_ml_batch([g4, g5], 2, [0, 1])
-    with pytest.raises(ValidationError):
-        fit_marginal_ml_batch([g4], 2, [0, 1])
-    (one_block,) = fit_marginal_ml_batch([g5], 1, [0])
-    assert one_block.log_marginal == fit_marginal_ml(g5, 1).log_marginal
+        fit_marginal_ml(g1, 2)
     invalid_sizes = [
-        lambda: fit_marginal_ml_batch([g4], 0, [0]),
-        lambda: fit_marginal_ml_batch([g4], -1, [0]),
-        lambda: fit_marginal_ml_batch([g4], 2, [0], starts=0),
+        lambda: fit_marginal_ml(g4, 0),
+        lambda: fit_marginal_ml(g4, -1),
         lambda: fit_marginal_ml(g4, 2, starts=0),
         lambda: profile_label_search(g4, 0),
         lambda: profile_label_search(g4, 0, mode="local"),
         lambda: profile_label_search(g4, 2, mode="local", restarts=0),
+        lambda: sup_log_lik_upper_bound(g4, 0),
         lambda: log_kt_marginal_exact(g4, 0),
         lambda: log_kt_marginal_mc(g4, 0, 100, 0),
     ]
     for call in invalid_sizes:
         with pytest.raises(ValidationError):
             call()
+
+
+# ------------------------------------------------- sup upper bound
+
+
+def _brute_force_bound(g, k):
+    """log sum over every z in {1..k}^n of exp(max_complete_log_lik(z, x, k))."""
+    from scipy.special import logsumexp
+
+    return logsumexp([
+        max_complete_log_lik(LabelVector(np.array(z) + 1, k), g, k)
+        for z in itertools.product(range(k), repeat=g.n)
+    ])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sup_bound_matches_brute_force(n):
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 3, 4):  # k > n included
+        for p in (0.3, 0.7):
+            g = Graph(n, rng.random(n * (n - 1) // 2) < p)
+            assert sup_log_lik_upper_bound(g, k) == pytest.approx(_brute_force_bound(g, k), abs=1e-12)
+
+
+def test_sup_bound_is_the_sup_at_k1():
+    for n in (4, 5):
+        pairs = n * (n - 1) // 2
+        for g in enumerate_graphs(n):
+            want = pairs * gamma_fn(g.edge_count / pairs)
+            assert sup_log_lik_upper_bound(g, 1) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_em_value_lies_under_the_sup_bound(k):
+    for idx, g in enumerate(enumerate_graphs(4)):
+        assert fit_marginal_ml(g, k, seed=idx).log_marginal <= sup_log_lik_upper_bound(g, k)
 
 
 # ---------------------------------------------------- sparse decomposition

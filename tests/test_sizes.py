@@ -11,7 +11,7 @@ from ktsbm import (
     SparseSchedule,
     ValidationError,
     estimate_order,
-    fit_marginal_ml_batch,
+    fit_marginal_ml,
     log_kt_marginal_exact,
     log_kt_marginal_mc,
     penalty,
@@ -39,8 +39,8 @@ SIZE_ARGUMENTS = {
     "log_kt_marginal_mc.samples": lambda v: log_kt_marginal_mc(G, 2, v, 0),
     "profile_label_search.k": lambda v: profile_label_search(G, v),
     "profile_label_search.restarts": lambda v: profile_label_search(G, 2, mode="local", restarts=v),
-    "fit_marginal_ml_batch.k": lambda v: fit_marginal_ml_batch([G], v, [0]),
-    "fit_marginal_ml_batch.starts": lambda v: fit_marginal_ml_batch([G], 2, [0], starts=v),
+    "fit_marginal_ml.k": lambda v: fit_marginal_ml(G, v),
+    "fit_marginal_ml.starts": lambda v: fit_marginal_ml(G, 2, starts=v),
     "SbmParams.k": lambda v: SbmParams(k=v, pi=[1.0], P=[[0.5]]),
     "LabelVector.k": lambda v: LabelVector([1], v),
     "Graph.n": lambda v: Graph(v, np.zeros(0, dtype=bool)),
