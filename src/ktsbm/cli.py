@@ -28,8 +28,9 @@ from .experiments import (
     write_outputs,
 )
 from .graphio import read_graph_file, write_graph_file, write_labels_file
-from .partitions import TABLE_CAP, partition_count
+from .partitions import _max_table_blocks
 from .sbm import SbmParams, sample_sbm
+from .seeds import _MASK
 from .selection import PenaltySpec, dense_gap, estimate_order, identical_columns, sparse_gap
 
 EXIT_OK = 0
@@ -57,7 +58,7 @@ def cmd_sample(args) -> int:
     if unknown or missing:
         raise ValidationError(f"sample config fields: unknown {unknown}, missing {missing}")
     params = SbmParams(k=cfg["k"], pi=cfg["pi"], P=cfg["P"])
-    seed = require_int("seed", args.seed if args.seed is not None else cfg.get("seed", 0), low=0)
+    seed = require_int("seed", args.seed if args.seed is not None else cfg.get("seed", 0), low=0, high=_MASK)
     labels, graph = sample_sbm(params, cfg["n"], seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -71,9 +72,7 @@ def cmd_sample(args) -> int:
 def _k_max_hint(n: int, how: str) -> str:
     """Point an infeasible exact request at the largest feasible k_max >= 2;
     ``how`` says where k_max is set ("rerun with --k-max")."""
-    k = 1
-    while k < n and partition_count(n, k + 1) <= TABLE_CAP:
-        k += 1
+    k = _max_table_blocks(n)
     if k < 2:
         return f"exact KT is infeasible at n={n} for any k_max >= 2"
     return f"{how} {k}, the largest k_max under the cap at n={n}"
@@ -83,8 +82,9 @@ def cmd_estimate(args) -> int:
     graph = read_graph_file(args.graph)
     spec = PenaltySpec(args.epsilon)
     k_max = args.k_max if args.k_max is not None else min(graph.n, 8)
+    seed = require_int("seed", args.seed if args.seed is not None else 0, low=0, high=_MASK)
     try:
-        k_hat, table = estimate_order(graph, spec, k_max=k_max, kt_method=args.kt, seed=args.seed or 0)
+        k_hat, table = estimate_order(graph, spec, k_max=k_max, kt_method=args.kt, seed=seed)
     except InfeasibleSizeError as e:
         raise InfeasibleSizeError(f"{e}; {_k_max_hint(graph.n, 'rerun with --k-max')}") from None
     header = f"{'k':>3} {'log_kt':>14} {'pen':>12} {'score':>14} method"
@@ -124,18 +124,18 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "normalization":
-        report = normalization_suite()
-    elif args.suite == "prop31":
-        n_values = args.n or [4, 5]
-        k_values = args.k or [1, 2]
-        report = prop31_suite(n_values=n_values, k_values=k_values)
-    elif args.suite == "gamma_ineq":
-        report = gamma_suite(count=args.count, seed=args.seed or 0)
-    elif args.suite == "lemmaA2":
-        report = lemma_a2_suite(epsilon=args.epsilon)
-    else:
-        raise ValidationError(f"unknown suite {args.suite!r}")
+    suite, reads = {  # each suite, and its keyword for each flag it reads
+        "normalization": (normalization_suite, {}),
+        "prop31": (prop31_suite, {"n": "n_values", "k": "k_values"}),
+        "gamma_ineq": (gamma_suite, {"count": "count", "seed": "seed"}),
+        "lemmaA2": (lemma_a2_suite, {"epsilon": "epsilon"}),
+    }[args.suite]
+    flags = {f: getattr(args, f) for f in ("n", "k", "count", "seed", "epsilon")}
+    given = {f: value for f, value in flags.items() if value is not None}
+    unread = [f"--{f}" for f in given if f not in reads]
+    if unread:
+        raise ValidationError(f"verify {args.suite} reads no {', '.join(unread)}")
+    report = suite(**{reads[f]: value for f, value in given.items()})
     for line in report.lines():
         print(line)
     if not report.ok:
@@ -193,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a property suite")
     vp.add_argument("suite", choices=["prop31", "gamma_ineq", "normalization", "lemmaA2"])
-    vp.add_argument("--n", type=int, nargs="*", default=None)
-    vp.add_argument("--k", type=int, nargs="*", default=None)
-    vp.add_argument("--count", type=int, default=1000)
-    vp.add_argument("--seed", type=int, default=None)
-    vp.add_argument("--epsilon", type=float, default=1.0)
+    vp.add_argument("--n", type=int, nargs="+", default=None, help="prop31 only")
+    vp.add_argument("--k", type=int, nargs="+", default=None, help="prop31 only")
+    vp.add_argument("--count", type=int, default=None, help="gamma_ineq only")
+    vp.add_argument("--seed", type=int, default=None, help="gamma_ineq only")
+    vp.add_argument("--epsilon", type=float, default=None, help="lemmaA2 only")
     vp.set_defaults(func=cmd_verify)
 
     gp = sub.add_parser("gap", help="merge/gap analysis of a parameter file")

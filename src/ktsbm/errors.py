@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the one size check."""
 
+import math
 import numbers
 
 
@@ -21,9 +22,10 @@ class InfeasibleSizeError(RuntimeError):
     """Raised when an exact enumeration would exceed its fixed cap."""
 
 
-def require_int(name: str, value, low: int = 1) -> int:
+def require_int(name: str, value, low: int = 1, high: float = math.inf) -> int:
     """Return ``value`` as an int if it is an integer (numpy ones included,
-    bool excluded) of at least ``low``; raise ValidationError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    bool excluded) in [low, high]; raise ValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
+        upper = f" and <= {high}" if high < math.inf else ""
+        raise ValidationError(f"{name} must be an integer >= {low}{upper}, got {value!r}")
     return int(value)

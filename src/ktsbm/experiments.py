@@ -26,7 +26,7 @@ from .kt import gamma_composition_inequality, log_kt_marginal_exact, verify_prop
 from .likelihood import sup_log_lik_upper_bound
 from .sbm import LabelVector, SbmParams, SparseSchedule, enumerate_graphs, realize_sparse, sample_sbm
 from .selection import PenaltySpec, estimate_order, overestimation_bound, parse_kt_method
-from .seeds import derive_seed, rng_from_seed
+from .seeds import _MASK, derive_seed, rng_from_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -90,8 +90,10 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.regime not in ("dense", "sparse"):
             raise ValidationError(f"regime must be 'dense' or 'sparse', got {self.regime!r}")
-        for name, low in (("k0", 1), ("trials", 1), ("k_max", 1), ("master_seed", 0)):
-            object.__setattr__(self, name, require_int(name, getattr(self, name), low))
+        for name in ("k0", "trials", "k_max"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name)))
+        seed = require_int("master_seed", self.master_seed, low=0, high=_MASK)
+        object.__setattr__(self, "master_seed", seed)
         for name in ("epsilon", "c", "alpha"):
             _require_real(name, getattr(self, name))
         n_grid = tuple(require_int("n_grid entry", v) for v in _require_list("n_grid", self.n_grid))
@@ -320,6 +322,7 @@ def prop31_suite(n_values=(4, 5), k_values=(1, 2), em_starts: int = 16, seed: in
 def gamma_suite(count: int = 1000, seed: int = 0) -> SuiteReport:
     """Random compositions through the Gamma composition inequality."""
     require_int("count", count)
+    require_int("seed", seed, low=0, high=_MASK)
     rng = rng_from_seed(derive_seed(seed, 0xA1))
     worst = -np.inf
     bad = 0

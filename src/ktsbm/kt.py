@@ -24,9 +24,10 @@ from .partitions import (
     _cell_edges,
     _cell_pairs,
     _log_gamma_tables,
+    _logsumexp,
+    _orbit_weights,
     _passes,
-    graph_cell_edges,
-    require_partitions,
+    _table_pass,
 )
 from .sbm import Graph, LabelVector, _labeling_cells
 
@@ -84,20 +85,6 @@ def log_kt_labels(z: LabelVector, k: int) -> float:
     )
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum exp(a) of a 1-d array, in scipy's max-separated form
-    log1p(sum_{a != max} e^{a - max} / m) + log m + max (m maxima), so that
-    values match ``scipy.special.logsumexp`` to the bit."""
-    top = a.max()
-    if not np.isfinite(top):
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.exp(a).sum()))
-    at_top = a == top
-    m = float(np.count_nonzero(at_top))
-    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-    return float(np.log1p(s / m) + np.log(m) + top)
-
-
 def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
     """Beta(1/2,1/2) predictive log-probability per condensed cell of a
     graph on n nodes.
@@ -117,29 +104,23 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
 
 
 def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
-    """Exact log K_k(x) for every k of ``ks`` from one partition table with
-    at most max(ks) blocks.
+    """Exact log K_k(x) for every k of ``ks`` from one pass over the
+    canonical partitions with at most max(ks) blocks.
 
     Per canonical partition, the k-independent part of log K(z) K(x|z) is
-    sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition); for each
-    k, partitions with m <= k blocks enter with multiplicity k!/(k-m)!
-    (distinct value assignments).  The per-partition terms are evaluated
-    one budgeted pass at a time.
+    sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition),
+    evaluated one budgeted pass at a time; for each k, the partitions with
+    at most k blocks enter with their orbit weight k!/(k-m)!.
     """
     ks = [require_int("k", k) for k in ks]
     n = x.n
-    table = require_partitions(n, min(max(ks), n))
-    ho = graph_cell_edges(table, x.edges())
+    table, ho, passes = _table_pass(n, max(ks), x.edges())
     base = np.empty(table.size)
-    for lo, hi in _passes(table.size, n, table.m_max, 0):
+    for lo, hi in passes:
         base[lo:hi] = table.label_part[lo:hi] + _cell_log_pred(ho[lo:hi], table.hn[lo:hi], n).sum(axis=1)
-    gone = _log_gamma_tables(max(n, *ks))[1]
     values = []
     for k in ks:
-        usable = table.nblocks <= k
-        if not usable.any():
-            raise ValidationError(f"no labeling uses at most k={k} blocks")
-        log_mult = gone[k] - gone[k - table.nblocks[usable]]
+        usable, log_mult = _orbit_weights(table, k)
         body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(n + k / 2.0)
         values.append(KtValue(log_value=min(_logsumexp(body), 0.0), method="exact", k=k, n=n))
     return values

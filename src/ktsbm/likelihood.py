@@ -19,18 +19,16 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import InfeasibleSizeError, ValidationError, require_int
-from .kt import _logsumexp
 from .partitions import (
     _block_pairs,
     _budget_passes,
     _cell_edges,
-    _log_gamma_tables,
-    _passes,
+    _logsumexp,
+    _orbit_weights,
+    _table_pass,
     cell_layout,
-    graph_cell_edges,
     iter_labeling_stats,
     labeling_stats,
-    require_partitions,
 )
 from .sbm import Graph, LabelVector, SbmParams, _labeling_cells
 from .seeds import derive_seed, rng_from_seed
@@ -189,13 +187,11 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
 
 
 def _profile_values(x: Graph, k: int):
-    """The canonical partition table with at most k blocks, under the table
-    cap, and the plug-in value of each partition, one budgeted pass at a
-    time."""
-    table = require_partitions(x.n, min(k, x.n))
-    ho = graph_cell_edges(table, x.edges())
+    """The canonical partition table with at most k blocks and the plug-in
+    value of each partition, one budgeted pass at a time."""
+    table, ho, passes = _table_pass(x.n, k, x.edges())
     obj = np.empty(table.size)
-    for lo, hi in _passes(table.size, x.n, table.m_max, 0):
+    for lo, hi in passes:
         obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], x.n)
     return table, obj
 
@@ -232,13 +228,12 @@ def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
     sup_theta log P_theta(x) = sup_theta log sum_z P_theta(z, x), and the sup
     of a sum is at most the sum of the sups, so this bounds the marginal
     sup from above; at k = 1 there is one labeling and it is the sup.  The
-    sum runs over canonical partitions, a partition with m blocks standing
-    for its k!/(k-m)! labelings.
+    sum runs over canonical partitions with their orbit weights.
     """
     require_int("k", k)
     table, obj = _profile_values(x, k)
-    log_fact = _log_gamma_tables(max(x.n, k))[1]
-    return _logsumexp(obj + log_fact[k] - log_fact[k - table.nblocks])
+    usable, log_mult = _orbit_weights(table, k)
+    return _logsumexp(obj[usable] + log_mult)
 
 
 def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:

@@ -18,8 +18,12 @@ enumeration, Monte Carlo label draws, single labelings) counts them with
 the same two kernels, ``_cell_pairs`` for block sizes and hn and
 ``_cell_edges`` for ho, in passes whose temporaries stay under the byte
 budget ``_STATS_BYTES``, whatever the edge count.  Node pairs are formed
-from block sizes in one place, ``_block_pairs``.  The module also keeps the
-one pair of log-Gamma tables that the KT terms gather from.
+from block sizes in one place, ``_block_pairs``.
+
+Every decision of an exact sum over canonical partitions lives here: the
+table cap, the one pass of a graph over the table (``_table_pass``) and the
+orbit weight k!/(k-m)! (``_orbit_weights``).  So do the one logsumexp and
+the one pair of log-Gamma tables that the KT terms gather from.
 """
 
 from __future__ import annotations
@@ -48,10 +52,9 @@ _STATS_BYTES = 64 << 20
 TABLE_CAP = 2_000_000
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -65,10 +68,10 @@ def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cell_of = np.zeros((m, m), dtype=np.int64)
     cell_of[cell_a, cell_b] = np.arange(cell_a.size)
     cell_of[cell_b, cell_a] = cell_of[cell_a, cell_b]
-    return _frozen(cell_a, cell_b, cell_of)
+    return _freeze(cell_a), _freeze(cell_b), _freeze(cell_of)
 
 
-_LOG_GAMMA = _frozen(np.empty(0), np.empty(0))
+_LOG_GAMMA = _freeze(np.empty(0)), _freeze(np.empty(0))
 
 
 def _log_gamma_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +84,22 @@ def _log_gamma_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
     tables = _LOG_GAMMA
     if tables[0].size <= top:
         i = np.arange(max(top + 1, 2 * tables[0].size), dtype=np.float64)
-        tables = _LOG_GAMMA = _frozen(gammaln(i + 0.5), gammaln(i + 1.0))
+        tables = _LOG_GAMMA = _freeze(gammaln(i + 0.5)), _freeze(gammaln(i + 1.0))
     return tables
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) of a 1-d array, in scipy's max-separated form
+    log1p(sum_{a != max} e^{a - max} / m) + log m + max (m maxima), so that
+    values match ``scipy.special.logsumexp`` to the bit."""
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(divide="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    at_top = a == top
+    m = float(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def _budget_passes(rows: int, row_bytes: int):
@@ -134,37 +151,33 @@ def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def partition_count(n: int, m_max: int) -> int:
-    """Number of set partitions of n items into at most m_max blocks (exact)."""
-    m_max = min(m_max, n)
-    # dp[c] = number of restricted growth prefixes whose max value is c
-    dp = [0] * m_max
-    dp[0] = 1
-    for _ in range(n - 1):
-        new = [0] * m_max
-        for c in range(m_max):
-            new[c] = dp[c] * (c + 1)
-            if c > 0:
-                new[c] += dp[c - 1]
-        dp = new
-    return sum(dp)
+    """Number of set partitions of n items into at most m_max blocks (exact):
+    the sum over j <= m_max of the Stirling numbers S(n, j)."""
+    row = [1] + [0] * m_max  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m_max + 1)]
+    return sum(row)
 
 
-def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """All restricted growth strings of length n over at most m_max values.
-
-    Returns (codes, maxval): codes is (P, n) int8 with first occurrences in
-    increasing order 0, 1, 2, ...; maxval[p] is the largest value used.
-    """
+def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All restricted growth strings of length n over at most m_max values:
+    codes (P, n) int8 with first occurrences in order 0, 1, 2, ..., the
+    largest value of each, and the block sizes (P, m_max) int64, a child's
+    being its parent's plus one in the block of its new value."""
     codes = np.zeros((1, 1), dtype=np.int8)
     maxval = np.zeros(1, dtype=np.int8)
+    counts = np.zeros((1, m_max), dtype=np.int64)
+    counts[0, 0] = 1
     for _ in range(n - 1):
         nchild = np.minimum(maxval.astype(np.int64) + 2, m_max)
         rows = np.repeat(np.arange(codes.shape[0]), nchild)
-        starts = np.repeat(np.cumsum(nchild) - nchild, nchild)
-        newvals = (np.arange(rows.size) - starts).astype(np.int8)
+        child = np.arange(rows.size)
+        newvals = (child - np.repeat(np.cumsum(nchild) - nchild, nchild)).astype(np.int8)
         codes = np.concatenate([codes[rows], newvals[:, None]], axis=1)
         maxval = np.maximum(maxval[rows], newvals)
-    return codes, maxval
+        counts = counts[rows]
+        counts[child, newvals] += 1
+    return codes, maxval, counts
 
 
 @dataclass(frozen=True)
@@ -189,13 +202,12 @@ class PartitionTable:
 @lru_cache(maxsize=8)
 def partition_table(n: int, m_max: int) -> PartitionTable:
     m_max = min(m_max, n)
-    codes, maxval = _rgs_codes(n, m_max)
+    codes, maxval, counts = _rgs_codes(n, m_max)
     P = codes.shape[0]
     cell_a = cell_layout(m_max)[0]
-    counts = np.empty((P, m_max), dtype=np.int64)
     hn = np.empty((P, cell_a.size), dtype=np.int64)
     for lo, hi in _passes(P, n, m_max, 0):
-        counts[lo:hi], hn[lo:hi] = _cell_pairs(codes[lo:hi], m_max)
+        hn[lo:hi] = _block_pairs(counts[lo:hi], m_max)
     ghalf = _log_gamma_tables(n)[0]
     return PartitionTable(
         n=n,
@@ -209,14 +221,12 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     )
 
 
-def require_partitions(n: int, m_max: int) -> PartitionTable:
-    count = partition_count(n, min(m_max, n))
-    if count > TABLE_CAP:
-        raise InfeasibleSizeError(
-            f"exact enumeration needs {count} canonical labelings at n={n}, "
-            f"m_max={min(m_max, n)}, above the cap {TABLE_CAP}"
-        )
-    return partition_table(n, min(m_max, n))
+def _max_table_blocks(n: int) -> int:
+    """The largest m_max <= n (at least 1) whose table is under ``TABLE_CAP``."""
+    m = 1
+    while m < n and partition_count(n, m + 1) <= TABLE_CAP:
+        m += 1
+    return m
 
 
 def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
@@ -227,18 +237,36 @@ def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
     return ho
 
 
-def _decode_labelings(lo: int, hi: int, n: int, k: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] // powers) % k).astype(np.int8)
+def _table_pass(n: int, m_max: int, edges: np.ndarray) -> tuple[PartitionTable, np.ndarray, list]:
+    """The canonical partitions of n nodes with at most m_max blocks, refused
+    above the cap before they are built; their edges per condensed cell in
+    the graph with ``edges``; and the budgeted (lo, hi) row ranges."""
+    m_max = min(m_max, n)
+    count = partition_count(n, m_max)
+    if count > TABLE_CAP:
+        raise InfeasibleSizeError(
+            f"exact enumeration needs {count} canonical labelings at n={n}, "
+            f"m_max={m_max}, above the cap {TABLE_CAP}"
+        )
+    table = partition_table(n, m_max)
+    return table, graph_cell_edges(table, edges), list(_passes(table.size, n, m_max, 0))
+
+
+def _orbit_weights(table: PartitionTable, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``table`` with at most k blocks, and log k!/(k-m)! for
+    each: the labelings in {1..k}^n that a partition of m blocks stands for."""
+    usable = table.nblocks <= k
+    log_fact = _log_gamma_tables(k)[1]
+    return usable, log_fact[k] - log_fact[k - table.nblocks[usable]]
 
 
 def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
     """Yield (counts, hn, ho) over all k**n labelings, one budgeted pass at
     a time: block sizes (L, k), and node pairs and edges per cell (L, C) in
-    the condensed cell layout of k."""
+    the condensed cell layout of k.  Labeling i is the n base-k digits of i."""
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for lo, hi in _passes(k**n, n, k, len(edges)):
-        codes = _decode_labelings(lo, hi, n, k)
+        codes = ((np.arange(lo, hi, dtype=np.int64)[:, None] // powers) % k).astype(np.int8)
         yield (*_cell_pairs(codes, k), _cell_edges(codes, k, edges))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .partitions import _cell_edges, _cell_pairs, cell_layout
+from .partitions import _cell_edges, _cell_pairs, _freeze, cell_layout
 from .seeds import rng_from_seed
 
 __all__ = [
@@ -41,11 +41,6 @@ __all__ = [
 
 _PI_TOL = 1e-12
 _SYM_TOL = 1e-9
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _float_array(value, name: str) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import kt
 from .errors import ValidationError, require_int
 from .kt import log_kt_marginal_mc, prop31_bound
 from .likelihood import gamma_fn, max_complete_log_lik, profile_label_search, tau_fn
-from .sbm import _PI_TOL, Graph, LabelVector, _check_symmetric_unit, _float_array
+from .sbm import Graph, LabelVector, SbmParams, _check_symmetric_unit, _float_array
 from .seeds import derive_seed
 
 __all__ = [
@@ -157,9 +157,8 @@ def estimate_order(
                 ess=kv.ess,
             )
         )
-    scores = np.array([r.score for r in rows])
-    k_hat = int(np.argmax(scores)) + 1  # argmax takes the first (smallest k) on ties
-    return k_hat, CriterionTable(n=n, rows=tuple(rows))
+    table = CriterionTable(n=n, rows=tuple(rows))
+    return int(np.argmax(table.scores())) + 1, table  # argmax takes the first (smallest k) on ties
 
 
 def overestimation_bound(k0: int, k: int, n: int, spec: PenaltySpec) -> float:
@@ -168,9 +167,7 @@ def overestimation_bound(k0: int, k: int, n: int, spec: PenaltySpec) -> float:
     at 1."""
     if k <= k0:
         raise ValidationError(f"bound requires k > k0, got k={k}, k0={k0}")
-    if n < max(4, k0):
-        raise ValidationError(f"bound requires n >= max(4, k0) = {max(4, k0)}")
-    c = prop31_bound(k0, n).c_kn
+    c = prop31_bound(k0, n).c_kn  # requires n >= max(4, k0)
     exponent = (
         (k0 * (k0 + 2) - 1) / 2.0 * np.log(n)
         + c
@@ -207,13 +204,8 @@ def merge_blocks(pi, P, a: int, b: int) -> MergeResult:
         raise ValidationError("cannot merge a block with itself")
     if not (1 <= a <= k and 1 <= b <= k):
         raise ValidationError(f"labels must lie in [1, {k}]")
-    if np.any(pi <= 0):
-        raise ValidationError("pi must be strictly positive")
-    if abs(pi.sum() - 1.0) > _PI_TOL:
-        raise ValidationError(f"pi must sum to 1 within {_PI_TOL}, got {pi.sum()!r}")
-    P = _check_symmetric_unit(P, "P")
-    if P.shape != (k, k):
-        raise ValidationError(f"P must be {k}x{k}")
+    params = SbmParams(k=k, pi=pi, P=P)  # the one validation of a model point
+    pi, P = params.pi, params.P
     r, s = min(a, b) - 1, max(a, b) - 1
     keep = [i for i in range(k) if i != s]
     pos = keep.index(r)  # merged block's position among survivors

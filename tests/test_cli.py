@@ -181,6 +181,7 @@ _MISSING = object()
         ("k0", 0),
         ("output_path", 5),
         pytest.param("trials", _MISSING, id="trials-missing"),
+        ("master_seed", 2**64),
     ],
 )
 def test_consistency_rejects_malformed_config(tmp_path, capsys, field, value):
@@ -213,6 +214,48 @@ def test_verify_gamma_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "gamma_ineq", "--count", "200", "--seed", "1")
     assert code == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "seed, want", [("-1", 2), ("-3", 2), (str(2**64), 2), (str(2**64 + 3), 2), (str(2**64 - 1), 0)]
+)
+def test_every_seed_from_outside_lies_in_64_bits(tmp_path, capsys, seed, want):
+    model = {"k": 1, "pi": [1.0], "P": [[0.5]], "n": 6}
+    cfg, seeded = tmp_path / "cfg.json", tmp_path / "seeded.json"
+    cfg.write_text(json.dumps(model))
+    seeded.write_text(json.dumps({**model, "seed": int(seed)}))
+    graph = tmp_path / "g.txt"
+    graph.write_text("6 3\n1 2\n2 3\n4 5\n")
+    for argv in (
+        ["sample", "--config", str(cfg), "--seed", seed, "--out", str(tmp_path / "a")],
+        ["sample", "--config", str(seeded), "--out", str(tmp_path / "b")],
+        ["estimate", str(graph), "--k-max", "2", "--kt", "mc:1000", "--seed", seed],
+        ["verify", "gamma_ineq", "--count", "10", "--seed", seed],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want, argv
+        if want == 2:
+            assert "seed must be an integer >= 0 and <= 18446744073709551615" in err and out == ""
+    assert (tmp_path / "a").exists() == (tmp_path / "b").exists() == (want == 0)
+
+
+def test_verify_rejects_flags_its_suite_does_not_read(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemmaA2", "--count", "3", "--seed", "9", "--n", "7", "--k", "9")
+    assert code == 2 and out == ""
+    assert "verify lemmaA2 reads no --n, --k, --count, --seed" in err
+    for argv in (
+        ["normalization", "--epsilon", "2"],
+        ["prop31", "--seed", "1"],
+        ["prop31", "--count", "5"],
+        ["gamma_ineq", "--n", "4"],
+        ["gamma_ineq", "--epsilon", "0.5"],
+        ["lemmaA2", "--k", "2"],
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert f"reads no {argv[1]}" in err
+    code, out, _ = run_cli(capsys, "verify", "lemmaA2", "--epsilon", "2")
+    assert code == 0 and "all checks passed" in out
 
 
 def test_verify_prop31_rejects_k0(capsys):

@@ -54,6 +54,18 @@ def test_config_validation():
         ExperimentConfig.from_dict({**small_config().to_dict(), "surprise": 1})
 
 
+def test_master_seed_range():
+    # seeds are keys of a 64-bit generator: [0, 2**64), no aliasing modulo 2**64
+    assert small_config(master_seed=0).master_seed == 0
+    assert small_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+    for seed in (-1, 2**64, 2**64 + 99):
+        with pytest.raises(ValidationError, match="master_seed must be an integer >= 0 and <= 18446744073709551615"):
+            small_config(master_seed=seed)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0 and <= "):
+            gamma_suite(count=1, seed=seed)
+
+
 def test_run_consistency_thread_independence(tmp_path):
     cfg = small_config()
     r1 = run_consistency(cfg, threads=1, log=None)

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from ktsbm import (
     sample_sbm,
 )
 from ktsbm import partitions
+from ktsbm.likelihood import sup_log_lik_upper_bound
 from ktsbm.partitions import cell_layout, graph_cell_edges, labeling_stats, partition_table
+
+SRC = Path(partitions.__file__).parent
 
 
 def random_graph(n, p, seed):
@@ -49,9 +54,11 @@ def test_counting_passes_do_not_change_results(monkeypatch):
 
     default = results()
     assert len(list(partitions._passes(3**8, 8, 3, g8.edge_count))) == 1
+    assert_tables_match_a_recount()
     monkeypatch.setattr(partitions, "_STATS_BYTES", 4 << 10)
     assert len(list(partitions._passes(table.size, 10, 4, g10.edge_count))) > 100
     small = results()
+    assert_tables_match_a_recount()
 
     for want, got in zip(default[:3], small[:3]):
         assert np.array_equal(want, got)
@@ -61,6 +68,28 @@ def test_counting_passes_do_not_change_results(monkeypatch):
     assert small[5] == pytest.approx(default[5], abs=1e-12)  # per-pass logsumexp reorders
     assert small[6] == default[6]  # per-partition terms are row-wise, so bit-identical
     assert np.array_equal(small[7][0].labels, default[7][0].labels) and small[7][1] == default[7][1]
+
+
+def assert_tables_match_a_recount():
+    """Every table field equals a recount of the table's own codes: block
+    sizes and node pairs by ``_cell_pairs`` and ``_block_pairs``, blocks
+    and label part from the block sizes."""
+    ghalf = partitions._log_gamma_tables(10)[0]
+    for n, m_max in [(1, 1), (6, 3), (9, 9), (10, 4)]:
+        t = partition_table.__wrapped__(n, m_max)  # bypass the table cache
+        counts, hn = partitions._cell_pairs(t.codes, m_max)
+        assert (t.n, t.m_max, t.size) == (n, m_max, partitions.partition_count(n, m_max))
+        assert np.array_equal(t.counts, counts) and np.array_equal(t.hn, hn)
+        assert np.array_equal(t.hn, partitions._block_pairs(counts, m_max))
+        assert t.counts.dtype == t.hn.dtype == t.nblocks.dtype == np.int64
+        assert np.array_equal(t.nblocks, t.codes.max(axis=1) + 1)
+        assert np.array_equal(t.nblocks, (counts > 0).sum(axis=1))
+        assert np.array_equal(t.cell_a, cell_layout(m_max)[0])
+        assert np.array_equal(t.label_part, (ghalf[counts] - ghalf[0]).sum(axis=1))
+        # restricted growth: each value is at most one above every earlier one
+        assert np.all(t.codes[:, 0] == 0)
+        assert np.all(t.codes[:, 1:] <= np.maximum.accumulate(t.codes, axis=1)[:, :-1] + 1)
+        assert len({row.tobytes() for row in t.codes}) == t.size
 
 
 def _traced_peak(f):
@@ -89,8 +118,40 @@ def test_table_cap_refuses_before_building(n, k):
     # 2 079 475 and 2 798 251 canonical labelings, above TABLE_CAP
     assert partitions.partition_count(n, k) > partitions.TABLE_CAP
     g = random_graph(n, 0.5, 4)
-    for call in (lambda: profile_label_search(g, k), lambda: estimate_order(g, PenaltySpec(1.0), k_max=k)):
+    for call in (
+        lambda: estimate_order(g, PenaltySpec(1.0), k_max=k),
+        lambda: profile_label_search(g, k),
+        lambda: log_kt_marginal_exact(g, k),
+        lambda: sup_log_lik_upper_bound(g, k),
+    ):
         assert _traced_peak(lambda: _refused(call)) < 1 << 20
+
+
+def test_largest_table_under_the_cap():
+    # the --k-max that the exit-3 hint names at n = 2..14
+    want = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 4, 3, 3]
+    assert [partitions._max_table_blocks(n) for n in range(2, 15)] == want
+    for n, m in zip(range(2, 15), want):
+        assert partitions.partition_count(n, m) <= partitions.TABLE_CAP
+        assert m == n or partitions.partition_count(n, m + 1) > partitions.TABLE_CAP
+    assert partitions._max_table_blocks(1) == partitions._max_table_blocks(40) == 1
+
+
+def test_partitions_alone_makes_enumeration_decisions():
+    owned = {"TABLE_CAP", "partition_count", "require_partitions", "graph_cell_edges"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "partitions.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imports = [node for node in nodes if isinstance(node, ast.ImportFrom)]
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in imports for alias in node.names}
+        assert not names & owned, (path.name, names & owned)
+        if path.name == "likelihood.py":
+            modules = {node.module for node in imports} | {alias.name for node in imports if node.module is None
+                                                           for alias in node.names}
+            assert "kt" not in modules
 
 
 def test_exact_estimate_memory_is_bounded():
