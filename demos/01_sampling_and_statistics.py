@@ -2,9 +2,9 @@
 """
 Sampling stochastic block models and reading off their block statistics.
 
-Walks through: dense sampling, the sparse power-law schedule, determinism,
-and the ordered-pair view of the block statistics (the likelihoods in this
-package read the same counts as condensed cells a <= b).
+Walks through: dense sampling, determinism, the block statistics that every
+likelihood and KT term reads (block sizes, and the node pairs and edges of
+each condensed cell a <= b), and the sparse power-law schedule.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from ktsbm import (
     SbmParams,
     SparseSchedule,
-    compute_stats,
+    cell_stats,
     realize_sparse,
     sample_sbm,
 )
@@ -37,12 +37,12 @@ print("=" * 64)
 print("2. Block counters")
 print("=" * 64)
 
-stats = compute_stats(labels, graph, k=2)
-print(f"block sizes n_a:        {stats.n_a}")
-print(f"ordered pair counts n_ab:\n{stats.n_ab}")
-print(f"ordered edge counts O_ab:\n{stats.O_ab}")
-print(f"E_n = sum O_ab = twice the edge count: {stats.E_n} = 2*{graph.edge_count}")
-print("an edge inside block a contributes 2 to O_aa; a cross edge 1 to each side")
+counts, pairs, edges = cell_stats(labels, graph, k=2)
+print(f"block sizes n_a: {counts}")
+print("cell (a, b)    node pairs  edges")
+for (a, b), hn, ho in zip([(1, 1), (1, 2), (2, 2)], pairs, edges):
+    print(f"({a}, {b})       {hn:10d}  {ho:5d}")
+print(f"each node pair is counted once: {pairs.sum()} = n(n-1)/2, {edges.sum()} = edge count")
 
 print()
 print("=" * 64)

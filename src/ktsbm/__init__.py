@@ -35,8 +35,7 @@ from .sbm import (
     LabelVector,
     SbmParams,
     SparseSchedule,
-    SuffStats,
-    compute_stats,
+    cell_stats,
     enumerate_graphs,
     realize_sparse,
     sample_sbm,

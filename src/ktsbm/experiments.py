@@ -12,6 +12,7 @@ stay byte-identical across thread counts.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 import time
@@ -47,8 +48,12 @@ _OVER_KS = (2, 3)  # the orders k > k0 = 1 that lemma_a2_suite checks
 
 
 def _require_real(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return value
 
 

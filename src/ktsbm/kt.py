@@ -29,7 +29,7 @@ from .partitions import (
     _passes,
     _table_pass,
 )
-from .sbm import Graph, LabelVector, _labeling_cells
+from .sbm import Graph, LabelVector, cell_stats
 
 __all__ = [
     "KtValue",
@@ -99,7 +99,7 @@ def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
 
 def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     """log K(x|z): product over cells a <= b of the Beta(1/2,1/2) predictive."""
-    _, hn, ho = _labeling_cells(z, x, k)
+    _, hn, ho = cell_stats(z, x, k)
     return float(_cell_log_pred(ho, hn, x.n).sum())
 
 

@@ -22,7 +22,6 @@ from .errors import InfeasibleSizeError, ValidationError, require_int
 from .partitions import (
     _block_pairs,
     _budget_passes,
-    _cell_edges,
     _logsumexp,
     _orbit_weights,
     _table_pass,
@@ -30,7 +29,7 @@ from .partitions import (
     iter_labeling_stats,
     labeling_stats,
 )
-from .sbm import Graph, LabelVector, SbmParams, _labeling_cells
+from .sbm import Graph, LabelVector, SbmParams, cell_stats
 from .seeds import derive_seed, rng_from_seed
 
 __all__ = [
@@ -97,7 +96,7 @@ def _safe_log(v: np.ndarray) -> np.ndarray:
 def complete_log_prob(params: SbmParams, z: LabelVector, x: Graph) -> float:
     """log P(z, x) under the given parameters; -inf when a zero-probability
     cell has a positive count."""
-    counts, hn, ho = _labeling_cells(z, x, params.k)
+    counts, hn, ho = cell_stats(z, x, params.k)
     P = params.P[cell_layout(params.k)[:2]]
     label_term = xlogy(counts, params.pi).sum()
     edge_term = xlogy(ho, P).sum() + xlogy(hn - ho, 1.0 - P).sum()
@@ -117,7 +116,7 @@ class EmpiricalRates:
 def mle_from_labels(z: LabelVector, x: Graph, k: int) -> EmpiricalRates:
     """Empirical probabilities pi_a = n_a/n and P_ab = ho/hn, the edges
     over the node pairs of cell (a, b)."""
-    counts, hn, ho = _labeling_cells(z, x, k)
+    counts, hn, ho = cell_stats(z, x, k)
     P = _cells_to_matrix(_pair_ratio(ho, hn), k)
     return EmpiricalRates(pi=counts / len(z), P=P, undefined=_cells_to_matrix(hn == 0, k))
 
@@ -131,7 +130,7 @@ def _pair_ratio(ho: np.ndarray, hn: np.ndarray) -> np.ndarray:
 def max_complete_log_lik(z: LabelVector, x: Graph, k: int) -> float:
     """sup over (pi, P) of log P(z, x): the plug-in value
     n sum_a pihat_a log pihat_a + sum_{a<=b} hn gamma(Phat_ab)."""
-    return float(_objective_cells(*_labeling_cells(z, x, k), len(z)))
+    return float(_objective_cells(*cell_stats(z, x, k), len(z)))
 
 
 def _objective_cells(counts: np.ndarray, hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
@@ -162,8 +161,7 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
     for r in range(restarts):
         rng = rng_from_seed(derive_seed(seed, r))
         lab = rng.integers(0, k, size=n)
-        counts = np.bincount(lab, minlength=k)
-        ho = _cell_edges(lab[None, :], k, x.edges())[0]
+        counts, _, ho = cell_stats(LabelVector(lab + 1, k), x, k)
         for _ in range(_MAX_SWEEPS):
             moved = False
             for i in range(n):

@@ -1,4 +1,4 @@
-"""Stochastic block model domain types, sampling and sufficient statistics.
+"""Stochastic block model domain types, sampling and block statistics.
 
 Conventions used throughout the package:
 
@@ -9,12 +9,9 @@ Conventions used throughout the package:
   symmetric, with zero diagonal.  Storage is the condensed upper triangle
   (n(n-1)/2 booleans, row-major).
 
-Likelihood and KT terms read the condensed cells a <= b of ``partitions``.
-Only the public ``compute_stats``/``SuffStats`` view (the paper's n_ab,
-O_ab) uses the ordered-pair convention: ``O[a, b]`` counts ordered node
-pairs (i, j) with labels (a, b) joined by an edge, so an edge inside block
-a contributes 2 to ``O[a, a]`` and an edge between blocks a != b
-contributes 1 to each of ``O[a, b]`` and ``O[b, a]``.
+Every likelihood and KT term reads a labeled graph through ``cell_stats``:
+block sizes, and the node pairs and edges of each condensed cell a <= b of
+``partitions``, each unordered node pair counted once.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .partitions import _cell_edges, _cell_pairs, _freeze, cell_layout
+from .partitions import _cell_edges, _cell_pairs, _freeze
 from .seeds import rng_from_seed
 
 __all__ = [
@@ -32,10 +29,9 @@ __all__ = [
     "SparseSchedule",
     "LabelVector",
     "Graph",
-    "SuffStats",
+    "cell_stats",
     "sample_sbm",
     "realize_sparse",
-    "compute_stats",
     "enumerate_graphs",
 ]
 
@@ -88,9 +84,9 @@ class SbmParams:
         pi = _float_array(self.pi, "pi")
         if pi.shape != (k,):
             raise ValidationError(f"pi must have length {k}, got shape {pi.shape}")
-        if np.any(pi <= 0.0):
-            raise ValidationError("all community weights must be strictly positive")
-        if abs(pi.sum() - 1.0) > _PI_TOL:
+        if not np.all(pi > 0.0):  # written so that NaN fails
+            raise ValidationError(f"community weights must be finite and > 0, got {pi.tolist()}")
+        if not abs(pi.sum() - 1.0) <= _PI_TOL:
             raise ValidationError(f"pi must sum to 1 within {_PI_TOL}, got {pi.sum()!r}")
         P = _check_symmetric_unit(self.P, "P")
         if P.shape != (k, k):
@@ -266,32 +262,10 @@ def pair_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
-class SuffStats:
-    """Block counters of a (labeling, graph) pair.
-
-    n_a[a] is the size of block a+1; n_ab follows the ordered-pair pair-count
-    convention (n_a*n_b off the diagonal, n_a*(n_a-1) on it); O_ab counts
-    ordered endpoint pairs of edges; E_n = sum(O_ab) is twice the edge count.
-    """
-
-    n_a: np.ndarray
-    n_ab: np.ndarray
-    O_ab: np.ndarray
-    E_n: int
-
-    @property
-    def k(self) -> int:
-        return self.n_a.size
-
-    @property
-    def n(self) -> int:
-        return int(self.n_a.sum())
-
-
-def _labeling_cells(z: LabelVector, x: Graph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block sizes (k,), node pairs (C,) and edges (C,) per condensed cell
-    of (z, x) for a k-block model, checked against the graph size and k."""
+def cell_stats(z: LabelVector, x: Graph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block sizes (k,), node pairs (C,) and edges (C,) of (z, x) for a
+    k-block model, C = k(k+1)/2 cells a <= b in ``partitions.cell_layout(k)``
+    order; checked against the graph size and k."""
     if len(z) != x.n:
         raise ValidationError(f"labeling has length {len(z)} but graph has {x.n} nodes")
     if z.k > k or (len(z) and z.labels.max() > k):
@@ -299,20 +273,6 @@ def _labeling_cells(z: LabelVector, x: Graph, k: int) -> tuple[np.ndarray, np.nd
     codes = (z.labels - 1)[None, :]
     counts, hn = _cell_pairs(codes, k)
     return counts[0], hn[0], _cell_edges(codes, k, x.edges())[0]
-
-
-def compute_stats(z: LabelVector, x: Graph, k: int) -> SuffStats:
-    """Extract the sufficient statistics of (z, x) for a k-block model."""
-    counts, hn, ho = _labeling_cells(z, x, k)
-    cell_of = cell_layout(k)[2]
-    twice = 1 + np.eye(k, dtype=np.int64)  # ordered pairs count a diagonal cell twice
-    O_ab = ho[cell_of] * twice
-    return SuffStats(
-        n_a=_freeze(counts),
-        n_ab=_freeze(hn[cell_of] * twice),
-        O_ab=_freeze(O_ab),
-        E_n=int(O_ab.sum()),
-    )
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> tuple[LabelVector, Graph]:

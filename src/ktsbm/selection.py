@@ -14,6 +14,7 @@ up, which is what keeps the estimator from collapsing to small k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class PenaltySpec:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValidationError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 def penalty_sum_coefficient(k: int, epsilon):

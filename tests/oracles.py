@@ -28,6 +28,29 @@ def naive_stats(labels, adj, k):
     return np.array(n_a), np.array(n_ab), np.array(O)
 
 
+def naive_cells(labels, adj, k):
+    """O(n^2) recount of block sizes, and of node pairs and edges per cell
+    a <= b (row-major), counting each pair i < j into (min, max) of its
+    labels."""
+    n = len(labels)
+    n_a = [0] * k
+    for v in labels:
+        n_a[v - 1] += 1
+    pairs = [[0] * k for _ in range(k)]
+    edges = [[0] * k for _ in range(k)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = sorted((labels[i] - 1, labels[j] - 1))
+            pairs[a][b] += 1
+            edges[a][b] += adj[i][j]
+    upper = [(a, b) for a in range(k) for b in range(a, k)]
+    return (
+        np.array(n_a),
+        np.array([pairs[a][b] for a, b in upper]),
+        np.array([edges[a][b] for a, b in upper]),
+    )
+
+
 def naive_complete_prob(pi, P, labels, adj):
     """Product of label weights and one Bernoulli factor per unordered pair."""
     n = len(labels)

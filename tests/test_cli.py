@@ -182,6 +182,10 @@ _MISSING = object()
         ("output_path", 5),
         pytest.param("trials", _MISSING, id="trials-missing"),
         ("master_seed", 2**64),
+        ("epsilon", float("inf")),
+        ("c", float("inf")),
+        ("alpha", float("nan")),
+        pytest.param("epsilon", 10**400, id="epsilon-huge-int"),
     ],
 )
 def test_consistency_rejects_malformed_config(tmp_path, capsys, field, value):
@@ -329,6 +333,10 @@ def test_gap_cli_validation(tmp_path, capsys):
         pytest.param(["estimate", "binary.txt"], id="non-utf8-graph"),
         pytest.param(["consistency", "--config", "exp.json", "--threads", "0"], id="threads-0"),
         pytest.param(["verify", "gamma_ineq", "--count", "0"], id="count-0"),
+        pytest.param(["sample", "--config", "nan_pi.json"], id="sample-nan-pi"),
+        pytest.param(["gap", "nan_pi_gap.json"], id="gap-nan-pi"),
+        pytest.param(["estimate", "g.txt", "--epsilon", "inf", "--out", "e"], id="estimate-epsilon-inf"),
+        pytest.param(["verify", "lemmaA2", "--epsilon", "inf"], id="lemmaA2-epsilon-inf"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
@@ -338,6 +346,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     (tmp_path / "text_pi.json").write_text(json.dumps({"k": 1, "pi": ["a"], "P": [[0.5]], "n": 4}))
     (tmp_path / "binary.txt").write_bytes(b"\xff\xfe")
     (tmp_path / "exp.json").write_text(json.dumps(SMALL_CONFIG))
+    P = [[0.8, 0.2], [0.2, 0.8]]
+    nan = float("nan")
+    (tmp_path / "nan_pi.json").write_text(json.dumps({"k": 2, "pi": [nan, nan], "P": P, "n": 6}))
+    (tmp_path / "nan_pi_gap.json").write_text(json.dumps({"pi": [nan, 0.5], "P": P}))
+    (tmp_path / "g.txt").write_text("4 2\n1 2\n3 4\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -135,7 +135,7 @@ def test_mle_hand_example():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     est = mle_from_labels(z, g, 2)
     assert est.pi.tolist() == pytest.approx([2 / 3, 1 / 3])
-    assert est.P[0, 0] == pytest.approx(1.0)  # 2 ordered pairs / 2
+    assert est.P[0, 0] == pytest.approx(1.0)  # 1 edge / 1 node pair
     assert est.P[0, 1] == pytest.approx(0.5)
     assert est.undefined[1, 1]  # single node in block 2: no pairs
     assert np.array_equal(est.P, est.P.T)

@@ -9,14 +9,14 @@ from ktsbm import (
     SbmParams,
     SparseSchedule,
     ValidationError,
-    compute_stats,
+    cell_stats,
     enumerate_graphs,
     realize_sparse,
     sample_sbm,
 )
 from ktsbm.seeds import derive_seed, mix64
 
-from oracles import naive_stats
+from oracles import naive_cells
 
 
 def test_params_validation():
@@ -81,25 +81,23 @@ def test_empirical_density_matches_analytic_expectation():
     assert 0.49 <= np.mean(dens) <= 0.51
 
 
-def test_compute_stats_hand_examples():
+def test_cell_stats_hand_examples():
     z = LabelVector([1, 1], 1)
     g = Graph.from_edges(2, [(0, 1)])
-    s = compute_stats(z, g, 1)
-    assert s.n_a.tolist() == [2]
-    assert s.n_ab.tolist() == [[2]]
-    assert s.O_ab.tolist() == [[2]]
-    assert s.E_n == 2
+    counts, hn, ho = cell_stats(z, g, 1)
+    assert counts.tolist() == [2]
+    assert hn.tolist() == [1]
+    assert ho.tolist() == [1]
 
     z = LabelVector([1, 2, 1], 2)
-    g = Graph.from_edges(3, [])
-    s = compute_stats(z, g, 2)
-    assert s.E_n == 0
-    assert s.O_ab.sum() == 0
-    assert s.n_ab[0, 1] == 2
-    assert s.n_ab[0, 0] == 2
+    g = Graph.from_edges(3, [(0, 1)])
+    counts, hn, ho = cell_stats(z, g, 2)  # cells (1,1) (1,2) (2,2)
+    assert counts.tolist() == [2, 1]
+    assert hn.tolist() == [1, 2, 0]
+    assert ho.tolist() == [0, 1, 0]
 
 
-def test_compute_stats_matches_naive_oracle():
+def test_cell_stats_matches_naive_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n = int(rng.integers(2, 7))
@@ -107,11 +105,11 @@ def test_compute_stats_matches_naive_oracle():
         labels = rng.integers(1, k + 1, size=n)
         adj = np.triu((rng.random((n, n)) < 0.4).astype(int), 1)
         adj = adj + adj.T
-        s = compute_stats(LabelVector(labels, k), Graph.from_adjacency(adj), k)
-        n_a, n_ab, O = naive_stats(labels.tolist(), adj.tolist(), k)
-        assert np.array_equal(s.n_a, n_a)
-        assert np.array_equal(s.n_ab, n_ab)
-        assert np.array_equal(s.O_ab, O)
+        counts, hn, ho = cell_stats(LabelVector(labels, k), Graph.from_adjacency(adj), k)
+        n_a, pairs, edges = naive_cells(labels.tolist(), adj.tolist(), k)
+        assert np.array_equal(counts, n_a)
+        assert np.array_equal(hn, pairs)
+        assert np.array_equal(ho, edges)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,12 +120,11 @@ def test_stats_invariants_on_sampled_pairs(seed, n, k):
     np.fill_diagonal(P, 0.6)
     params = SbmParams(k=k, pi=pi, P=P)
     z, g = sample_sbm(params, n, seed)
-    s = compute_stats(z, g, k)
-    assert s.n_a.sum() == n
-    assert s.n_ab.sum() == n * (n - 1)
-    assert s.O_ab.sum() == s.E_n == 2 * g.edge_count
-    assert np.array_equal(s.O_ab, s.O_ab.T)
-    assert np.all(s.O_ab <= s.n_ab)
+    counts, hn, ho = cell_stats(z, g, k)
+    assert counts.sum() == n
+    assert hn.sum() == n * (n - 1) // 2
+    assert ho.sum() == g.edge_count
+    assert np.all(ho <= hn)
 
 
 def test_relabeling_invariance():
@@ -138,12 +135,14 @@ def test_relabeling_invariance():
     adj = adj + adj.T
     g = Graph.from_adjacency(adj)
     perm = np.array([2, 0, 1])  # label a -> perm[a-1]+1
-    s = compute_stats(LabelVector(labels, k), g, k)
-    s2 = compute_stats(LabelVector(perm[labels - 1] + 1, k), g, k)
-    inv = np.argsort(perm)
-    assert np.array_equal(s2.n_a[perm], s.n_a)
-    assert np.array_equal(s2.O_ab[np.ix_(perm, perm)], s.O_ab)
-    assert np.array_equal(s.n_ab[np.ix_(inv, inv)], s2.n_ab)
+    counts, hn, ho = cell_stats(LabelVector(labels, k), g, k)
+    counts2, hn2, ho2 = cell_stats(LabelVector(perm[labels - 1] + 1, k), g, k)
+    upper = [(a, b) for a in range(k) for b in range(a, k)]
+    # cell (a, b) of the first labeling is cell (perm[a], perm[b]), sorted, of the second
+    moved = [upper.index(tuple(sorted((perm[a], perm[b])))) for a, b in upper]
+    assert np.array_equal(counts2[perm], counts)
+    assert np.array_equal(hn2[moved], hn)
+    assert np.array_equal(ho2[moved], ho)
 
 
 def test_realize_sparse():
