@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .kt import gamma_composition_inequality, log_kt_marginal_exact, verify_prop31
-from .likelihood import sup_log_lik_upper_bound
+from .kt import _certify_prop31, gamma_composition_inequality, log_kt_marginal_exact
 from .sbm import LabelVector, SbmParams, SparseSchedule, enumerate_graphs, realize_sparse, sample_sbm
 from .selection import PenaltySpec, estimate_order, overestimation_bound, parse_kt_method
 from .seeds import _MASK, derive_seed, rng_from_seed
@@ -311,7 +310,7 @@ def prop31_suite(n_values=(4, 5), k_values=(1, 2), em_starts: int = 16, seed: in
             worst = -np.inf
             violations = 0
             for g in graphs:
-                lhs, rhs, holds = verify_prop31(g, k, sup_log_lik_upper_bound(g, k))
+                lhs, rhs, holds = _certify_prop31(g, k)
                 worst = max(worst, lhs - rhs)
                 violations += not holds
             checks.append(

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError, require_int
+from .likelihood import _sup_bound
 from .partitions import (
     _cell_edges,
     _cell_pairs,
@@ -105,16 +106,20 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
 
 def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
     """Exact log K_k(x) for every k of ``ks`` from one pass over the
-    canonical partitions with at most max(ks) blocks.
+    canonical partitions with at most max(ks) blocks."""
+    ks = [require_int("k", k) for k in ks]
+    return _log_kt_values(x.n, ks, *_table_pass(x.n, max(ks), x.edges()))
+
+
+def _log_kt_values(n: int, ks, table, ho: np.ndarray, passes) -> list[KtValue]:
+    """Exact log K_k(x) for every k of ``ks`` from a ``_table_pass`` with
+    m_max = max(ks) over a graph x on n nodes.
 
     Per canonical partition, the k-independent part of log K(z) K(x|z) is
     sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition),
     evaluated one budgeted pass at a time; for each k, the partitions with
     at most k blocks enter with their orbit weight k!/(k-m)!.
     """
-    ks = [require_int("k", k) for k in ks]
-    n = x.n
-    table, ho, passes = _table_pass(n, max(ks), x.edges())
     base = np.empty(table.size)
     for lo, hi in passes:
         base[lo:hi] = table.label_part[lo:hi] + _cell_log_pred(ho[lo:hi], table.hn[lo:hi], n).sum(axis=1)
@@ -226,8 +231,20 @@ def verify_prop31(x: Graph, k: int, sup_approx: float) -> tuple[float, float, bo
     sup (``likelihood.sup_log_lik_upper_bound``) a pass is a proof.
     Returns (lhs, rhs, holds).
     """
+    return _prop31_verdict(prop31_bound(k, x.n), sup_approx, log_kt_marginal_exact(x, k))
+
+
+def _certify_prop31(x: Graph, k: int) -> tuple[float, float, bool]:
+    """verify_prop31(x, k, sup_log_lik_upper_bound(x, k)), with one table
+    pass read by both the sup bound and log K_k(x)."""
+    k = require_int("k", k)
+    table_pass = _table_pass(x.n, k, x.edges())
     bound = prop31_bound(k, x.n)
-    lhs = sup_approx - log_kt_marginal_exact(x, k).log_value
+    return _prop31_verdict(bound, _sup_bound(x.n, k, *table_pass), _log_kt_values(x.n, [k], *table_pass)[0])
+
+
+def _prop31_verdict(bound: BoundConstants, sup: float, kt: KtValue) -> tuple[float, float, bool]:
+    lhs = sup - kt.log_value
     return float(lhs), bound.rhs, bool(lhs <= bound.rhs + 1e-9)
 
 

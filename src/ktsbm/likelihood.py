@@ -184,14 +184,19 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
     return LabelVector(lab + 1, k), val
 
 
-def _profile_values(x: Graph, k: int):
-    """The canonical partition table with at most k blocks and the plug-in
-    value of each partition, one budgeted pass at a time."""
-    table, ho, passes = _table_pass(x.n, k, x.edges())
+def _profile_values(n: int, table, ho: np.ndarray, passes) -> np.ndarray:
+    """The plug-in value of each partition of a ``_table_pass`` over a graph
+    on n nodes, one budgeted pass at a time."""
     obj = np.empty(table.size)
     for lo, hi in passes:
-        obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], x.n)
-    return table, obj
+        obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], n)
+    return obj
+
+
+def _sup_bound(n: int, k: int, table, ho: np.ndarray, passes) -> float:
+    """``sup_log_lik_upper_bound`` from a ``_table_pass`` with m_max = k."""
+    usable, log_mult = _orbit_weights(table, k)
+    return _logsumexp(_profile_values(n, table, ho, passes)[usable] + log_mult)
 
 
 def profile_label_search(
@@ -212,7 +217,8 @@ def profile_label_search(
     require_int("k", k)
     require_int("restarts", restarts)
     if mode == "exact":
-        table, obj = _profile_values(x, k)
+        table, ho, passes = _table_pass(x.n, k, x.edges())
+        obj = _profile_values(x.n, table, ho, passes)
         best = int(np.argmax(obj))
         return LabelVector(table.codes[best] + 1, k), float(obj[best])
     if mode == "local":
@@ -229,9 +235,7 @@ def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
     sum runs over canonical partitions with their orbit weights.
     """
     require_int("k", k)
-    table, obj = _profile_values(x, k)
-    usable, log_mult = _orbit_weights(table, k)
-    return _logsumexp(obj[usable] + log_mult)
+    return _sup_bound(x.n, k, *_table_pass(x.n, k, x.edges()))
 
 
 def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:

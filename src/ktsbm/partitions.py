@@ -13,12 +13,15 @@ Two flavors are provided:
 Per-labeling statistics use a condensed cell layout: cells are the pairs
 (a, b) with a <= b in row-major order; ``hn`` is the number of unordered
 node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
-(a, a) holds n_a(n_a-1)/2 pairs.  Every caller (partition tables, full
-enumeration, Monte Carlo label draws, single labelings) counts them with
-the same two kernels, ``_cell_pairs`` for block sizes and hn and
-``_cell_edges`` for ho, in passes whose temporaries stay under the byte
-budget ``_STATS_BYTES``, whatever the edge count.  Node pairs are formed
-from block sizes in one place, ``_block_pairs``.
+(a, a) holds n_a(n_a-1)/2 pairs.  Full enumeration, Monte Carlo label
+draws and single labelings count them with two kernels, ``_cell_pairs``
+for block sizes and hn and ``_cell_edges`` for ho.  A partition table
+grows its block sizes with its codes and keeps the prefix tree it grew
+them on; ``graph_cell_edges`` counts a graph's edges down that tree, one
+node per level, in the table's narrow unsigned dtype.  All counting runs in
+passes whose temporaries stay under the byte budget ``_STATS_BYTES``,
+whatever the edge count.  Node pairs are formed from block sizes in one
+place, ``_block_pairs``.
 
 Every decision of an exact sum over canonical partitions lives here: the
 table cap, the one pass of a graph over the table (``_table_pass``) and the
@@ -46,7 +49,7 @@ __all__ = [
     "iter_labeling_stats",
 ]
 
-# One counting pass keeps its int64 temporaries under this many bytes.
+# One counting pass keeps its temporaries under this many bytes.
 _STATS_BYTES = 64 << 20
 # Largest canonical-partition table that any exact computation builds.
 TABLE_CAP = 2_000_000
@@ -159,25 +162,35 @@ def partition_count(n: int, m_max: int) -> int:
     return sum(row)
 
 
-def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All restricted growth strings of length n over at most m_max values:
-    codes (P, n) int8 with first occurrences in order 0, 1, 2, ..., the
-    largest value of each, and the block sizes (P, m_max) int64, a child's
-    being its parent's plus one in the block of its new value."""
+def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, ...]:
+    """All restricted growth strings of length n over at most m_max values,
+    grown one node per level of a prefix tree: codes (P, n) int8 with first
+    occurrences in order 0, 1, 2, ..., the largest value of each, the block
+    sizes (P, m_max) int64 (a child's are its parent's plus one in the block
+    of its new value), and the tree's level_start, parent and first_leaf
+    (see ``PartitionTable``)."""
     codes = np.zeros((1, 1), dtype=np.int8)
     maxval = np.zeros(1, dtype=np.int8)
     counts = np.zeros((1, m_max), dtype=np.int64)
     counts[0, 0] = 1
+    parents, first_child = [np.zeros(1, dtype=np.int32)], []
     for _ in range(n - 1):
         nchild = np.minimum(maxval.astype(np.int64) + 2, m_max)
         rows = np.repeat(np.arange(codes.shape[0]), nchild)
         child = np.arange(rows.size)
-        newvals = (child - np.repeat(np.cumsum(nchild) - nchild, nchild)).astype(np.int8)
+        start = np.cumsum(nchild) - nchild
+        newvals = (child - np.repeat(start, nchild)).astype(np.int8)
         codes = np.concatenate([codes[rows], newvals[:, None]], axis=1)
         maxval = np.maximum(maxval[rows], newvals)
         counts = counts[rows]
         counts[child, newvals] += 1
-    return codes, maxval, counts
+        parents.append(rows.astype(np.int32))
+        first_child.append(start)
+    first_leaf = [np.arange(codes.shape[0], dtype=np.int32)]
+    for start in reversed(first_child):  # children are contiguous and in order
+        first_leaf.append(first_leaf[-1][start])
+    level_start = np.cumsum([0] + [p.size for p in parents])
+    return codes, maxval, counts, level_start, np.concatenate(parents), np.concatenate(first_leaf[::-1])
 
 
 @dataclass(frozen=True)
@@ -190,9 +203,18 @@ class PartitionTable:
     codes: np.ndarray      # (P, n) int8, restricted growth strings
     nblocks: np.ndarray    # (P,) int64
     counts: np.ndarray     # (P, m_max) int64 block sizes
-    hn: np.ndarray         # (P, C) int64 pairs per condensed cell
+    hn: np.ndarray         # (P, C) pairs per condensed cell, in the smallest
+                           # unsigned dtype that holds n(n-1)/2
     cell_a: np.ndarray     # (C,) first block of each condensed cell
     label_part: np.ndarray  # (P,) sum_a [lgamma(n_a+1/2) - lgamma(1/2)]
+    # The prefix tree of the codes: level t holds the distinct prefixes of
+    # length t + 1, at rows level_start[t]:level_start[t + 1] (int64, n + 1
+    # entries) of the two int32 arrays below.  parent is a row's parent's
+    # index within level t - 1; first_leaf is the first row of the table
+    # with the row's prefix.  The last level is the table itself.
+    level_start: np.ndarray
+    parent: np.ndarray
+    first_leaf: np.ndarray
 
     @property
     def size(self) -> int:
@@ -202,10 +224,10 @@ class PartitionTable:
 @lru_cache(maxsize=8)
 def partition_table(n: int, m_max: int) -> PartitionTable:
     m_max = min(m_max, n)
-    codes, maxval, counts = _rgs_codes(n, m_max)
+    codes, maxval, counts, level_start, parent, first_leaf = _rgs_codes(n, m_max)
     P = codes.shape[0]
     cell_a = cell_layout(m_max)[0]
-    hn = np.empty((P, cell_a.size), dtype=np.int64)
+    hn = np.empty((P, cell_a.size), dtype=np.min_scalar_type(n * (n - 1) // 2))
     for lo, hi in _passes(P, n, m_max, 0):
         hn[lo:hi] = _block_pairs(counts[lo:hi], m_max)
     ghalf = _log_gamma_tables(n)[0]
@@ -218,6 +240,9 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
         hn=hn,
         cell_a=cell_a,
         label_part=(ghalf[counts] - ghalf[0]).sum(axis=1),
+        level_start=level_start,
+        parent=parent,
+        first_leaf=first_leaf,
     )
 
 
@@ -229,12 +254,57 @@ def _max_table_blocks(n: int) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
+def _append_cells(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pick, gather, blocks) for the edges that a node with label l and
+    d[b] earlier neighbours in block b adds to the condensed cells of k
+    blocks: cell c = (a, b) gains [l = pick[i]] d[gather[i]] summed over
+    i = c and i = C + c.  pick is -1 in the second half of a diagonal cell,
+    which counts its edges once; blocks is 0..k-1, shaped to compare with
+    (neighbours, rows) labels.  Cached per k, so the arrays are read-only."""
+    cell_a, cell_b, _ = cell_layout(k)
+    pick = np.concatenate([cell_a, np.where(cell_a == cell_b, -1, cell_b)]).astype(np.int8)
+    blocks = np.arange(k, dtype=np.int8)[:, None, None]
+    return _freeze(pick[:, None]), _freeze(np.concatenate([cell_b, cell_a])), _freeze(blocks)
+
+
 def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
-    """Edges per condensed cell for every partition: (P, C) int64."""
-    ho = np.empty((table.size, table.cell_a.size), dtype=np.int64)
-    for lo, hi in _passes(table.size, table.n, table.m_max, len(edges)):
-        ho[lo:hi] = _cell_edges(table.codes[lo:hi], table.m_max, edges)
-    return ho
+    """Edges per condensed cell for every partition: (P, C), in the dtype of
+    ``table.hn``, counted down the table's prefix tree.  Node t joins at
+    level t, so a level-t row's counts are its parent's plus one in cell
+    (label(j), label(t)) for each neighbour j < t of node t: the work of
+    level t grows with its rows times those neighbours, not with P times
+    all edges.  A level whose node has no earlier neighbour copies nothing;
+    its rows point at an ancestor's counts until a later level adds to
+    them."""
+    n, k, C = table.n, table.m_max, table.cell_a.size
+    pick, gather, blocks = _append_cells(k)
+    dtype = table.hn.dtype
+    earlier = [[] for _ in range(n)]
+    for i, j in edges.tolist():
+        earlier[max(i, j)].append(min(i, j))
+    starts = table.level_start.tolist()
+    ho = np.zeros((1, C), dtype=dtype)
+    src = None  # the row of ho that holds each row's counts; None: its own
+    for t in range(1, n):
+        parent = table.parent[starts[t] : starts[t + 1]]
+        src = parent if src is None else src[parent]
+        if not earlier[t]:
+            continue
+        first_leaf = table.first_leaf[starts[t] : starts[t + 1]]
+        ho = np.take(ho, src, axis=0)
+        cols = [t] + earlier[t]
+        # live per row: the codes, then the labels of node t and its
+        # neighbours, their comparison with each block and the counts d;
+        # then the 2C picks, the gathered d and their products
+        row_bytes = n + (k + 1) * len(cols) + 2 * C + dtype.itemsize * (k + 4 * C)
+        for lo, hi in _budget_passes(src.size, row_bytes):
+            labels = np.take(table.codes, first_leaf[lo:hi], axis=0).T[cols]
+            d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)  # (k, rows)
+            inc = (labels[0] == pick) * d[gather]
+            ho[lo:hi] += (inc[:C] + inc[C:]).T
+        src = None
+    return ho if src is None else ho[src]
 
 
 def _table_pass(n: int, m_max: int, edges: np.ndarray) -> tuple[PartitionTable, np.ndarray, list]:

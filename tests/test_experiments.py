@@ -141,6 +141,16 @@ def test_prop31_suite_is_certified_without_em(monkeypatch):
     assert prop31_suite(n_values=(4,), k_values=(2,), em_starts=2, seed=3).checks == rep.checks[1:2]
 
 
+def test_prop31_suite_counts_each_graph_once(monkeypatch):
+    from ktsbm import partitions
+
+    calls = []
+    count = partitions.graph_cell_edges
+    monkeypatch.setattr(partitions, "graph_cell_edges", lambda *args: calls.append(1) or count(*args))
+    assert prop31_suite(n_values=(4,), k_values=(2,)).ok
+    assert len(calls) == 64  # one table pass per graph of 4 nodes
+
+
 def test_lemma_a2_suite_passes():
     rep = lemma_a2_suite()
     assert rep.ok

@@ -70,6 +70,39 @@ def test_counting_passes_do_not_change_results(monkeypatch):
     assert np.array_equal(small[7][0].labels, default[7][0].labels) and small[7][1] == default[7][1]
 
 
+def _recount(table, edges):
+    """Edges per cell of every row of ``table``, edge by edge."""
+    return np.concatenate(
+        [
+            partitions._cell_edges(table.codes[lo:hi], table.m_max, edges)
+            for lo, hi in partitions._passes(table.size, table.n, table.m_max, len(edges))
+        ]
+    )
+
+
+@pytest.mark.parametrize("n, m_max", [(1, 1), (2, 2), (6, 3), (9, 9), (10, 4), (12, 4)])
+def test_graph_cell_edges_equals_a_per_edge_recount(monkeypatch, n, m_max):
+    table = partition_table(n, m_max)
+    pairs = n * (n - 1) // 2
+    graphs = [Graph(n, np.zeros(pairs, bool)), Graph(n, np.ones(pairs, bool))]
+    graphs += [random_graph(n, p, seed) for p, seed in ((0.3, 1), (0.6, 2))]
+    want = [_recount(table, g.edges()) for g in graphs]
+    for budget in (partitions._STATS_BYTES, 4 << 10):
+        monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
+        for g, w in zip(graphs, want):
+            ho = graph_cell_edges(table, g.edges())
+            assert ho.dtype == table.hn.dtype and np.array_equal(ho, w)
+
+
+@pytest.mark.parametrize("n, dtype", [(23, np.uint8), (30, np.uint16)])
+def test_graph_cell_edges_at_the_dtype_boundary(n, dtype):
+    # the complete graph in one block: 253 edges fit uint8, 435 need uint16
+    table = partition_table(n, 1)
+    ho = graph_cell_edges(table, Graph(n, np.ones(n * (n - 1) // 2, bool)).edges())
+    assert table.hn.dtype == ho.dtype == dtype
+    assert ho.tolist() == table.hn.tolist() == [[n * (n - 1) // 2]]
+
+
 def assert_tables_match_a_recount():
     """Every table field equals a recount of the table's own codes: block
     sizes and node pairs by ``_cell_pairs`` and ``_block_pairs``, blocks
@@ -81,7 +114,8 @@ def assert_tables_match_a_recount():
         assert (t.n, t.m_max, t.size) == (n, m_max, partitions.partition_count(n, m_max))
         assert np.array_equal(t.counts, counts) and np.array_equal(t.hn, hn)
         assert np.array_equal(t.hn, partitions._block_pairs(counts, m_max))
-        assert t.counts.dtype == t.hn.dtype == t.nblocks.dtype == np.int64
+        assert t.counts.dtype == t.nblocks.dtype == np.int64
+        assert t.hn.dtype == np.min_scalar_type(n * (n - 1) // 2)
         assert np.array_equal(t.nblocks, t.codes.max(axis=1) + 1)
         assert np.array_equal(t.nblocks, (counts > 0).sum(axis=1))
         assert np.array_equal(t.cell_a, cell_layout(m_max)[0])
@@ -90,6 +124,17 @@ def assert_tables_match_a_recount():
         assert np.all(t.codes[:, 0] == 0)
         assert np.all(t.codes[:, 1:] <= np.maximum.accumulate(t.codes, axis=1)[:, :-1] + 1)
         assert len({row.tobytes() for row in t.codes}) == t.size
+        # the prefix tree: level j holds the distinct prefixes of length
+        # j + 1, each at the first table row that has it, under its parent
+        assert t.level_start[0] == 0 and t.level_start[-1] == t.parent.size == t.first_leaf.size
+        for j in range(n):
+            level = slice(t.level_start[j], t.level_start[j + 1])
+            prefixes = t.codes[:, : j + 1]
+            first = np.unique(prefixes, axis=0, return_index=True)[1]
+            assert np.array_equal(t.first_leaf[level], np.sort(first))
+            if j:
+                up = t.first_leaf[t.level_start[j - 1] + t.parent[level]]
+                assert np.array_equal(prefixes[up, :j], prefixes[t.first_leaf[level], :j])
 
 
 def _traced_peak(f):
@@ -155,12 +200,21 @@ def test_partitions_alone_makes_enumeration_decisions():
 
 
 def test_exact_estimate_memory_is_bounded():
-    # the bound lies between evaluating the per-partition KT terms one
-    # budgeted pass at a time (189 MiB traced, table build included) and on
-    # the whole (P, C) table at once (307 MiB)
+    # counting edges down the prefix tree into narrow integers: 94 MiB
+    # traced, table build included, against 189 MiB for int64 counts from
+    # a recount of every edge per partition
     g = random_graph(12, 0.45, 5)
     partition_table.cache_clear()
-    assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=4)) < 240 << 20
+    assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=4)) < 150 << 20
+
+
+def test_exact_estimate_memory_with_many_cells_is_bounded():
+    # Bell(11) = 678 570 partitions in C = 66 cells: 221 MiB traced,
+    # against 809 MiB for int64 counts
+    g = random_graph(11, 0.5, 4)
+    partition_table.cache_clear()
+    assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=11)) < 320 << 20
+    partition_table.cache_clear()  # no later test needs this 123 MiB table
 
 
 def test_cell_layout_is_shared_and_read_only():
