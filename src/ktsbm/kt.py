@@ -22,8 +22,8 @@ from scipy.special import gammaln, xlogy
 from .errors import ValidationError, require_int
 from .likelihood import _sup_bound
 from .partitions import (
+    _block_pairs,
     _cell_edges,
-    _cell_pairs,
     _log_gamma_tables,
     _logsumexp,
     _orbit_weights,
@@ -137,11 +137,11 @@ def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
     return _log_kt_exact(x, [k])[0]
 
 
-def _polya_urn_labels(rng, n: int, k: int, size: int) -> np.ndarray:
-    """Exact draws from K(z): sequential Polya urn of the
-    Dirichlet(1/2,...,1/2)-multinomial process. Returns (size, n) int8."""
+def _polya_urn_labels(rng, n: int, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact draws from K(z), the sequential Polya urn of the Dirichlet(1/2,
+    ..., 1/2)-multinomial: labels (size, n) int8, block sizes (size, k) int64."""
     labels = np.empty((size, n), dtype=np.int8)
-    counts = np.zeros((size, k), dtype=np.float64)
+    counts = np.zeros((size, k), dtype=np.int64)
     rows = np.arange(size)
     for t in range(n):
         probs = (counts + 0.5) / (t + k / 2.0)
@@ -149,8 +149,8 @@ def _polya_urn_labels(rng, n: int, k: int, size: int) -> np.ndarray:
         u = rng.random(size)
         idx = np.minimum((cum < u[:, None]).sum(axis=1), k - 1)
         labels[:, t] = idx
-        counts[rows, idx] += 1.0
-    return labels
+        counts[rows, idx] += 1
+    return labels, counts
 
 
 def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
@@ -172,11 +172,11 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     done = 0
     while done < samples:
         size = min(_MC_BLOCK, samples - done)
-        labels = _polya_urn_labels(rng, n, k, size)
+        labels, counts = _polya_urn_labels(rng, n, k, size)
+        ho = _cell_edges(labels, k, edges)
         L = np.empty(size)
-        for lo, hi in _passes(size, n, k, len(edges)):
-            part = labels[lo:hi]
-            L[lo:hi] = _cell_log_pred(_cell_edges(part, k, edges), _cell_pairs(part, k)[1], n).sum(axis=1)
+        for lo, hi in _passes(size, n, k):
+            L[lo:hi] = _cell_log_pred(ho[lo:hi], _block_pairs(counts[lo:hi], k), n).sum(axis=1)
         log_l1.append(_logsumexp(L))
         log_l2.append(_logsumexp(2.0 * L))
         done += size

@@ -13,15 +13,13 @@ Two flavors are provided:
 Per-labeling statistics use a condensed cell layout: cells are the pairs
 (a, b) with a <= b in row-major order; ``hn`` is the number of unordered
 node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
-(a, a) holds n_a(n_a-1)/2 pairs.  Full enumeration, Monte Carlo label
-draws and single labelings count them with two kernels, ``_cell_pairs``
-for block sizes and hn and ``_cell_edges`` for ho.  A partition table
-grows its block sizes with its codes and keeps the prefix tree it grew
-them on; ``graph_cell_edges`` counts a graph's edges down that tree, one
-node per level, in the table's narrow unsigned dtype.  All counting runs in
-passes whose temporaries stay under the byte budget ``_STATS_BYTES``,
-whatever the edge count.  Node pairs are formed from block sizes in one
-place, ``_block_pairs``.
+(a, a) holds n_a(n_a-1)/2 pairs.  Node pairs are formed from block sizes in
+one place, ``_block_pairs``, and edges are added to a batch of labelings in
+one place, the node-append step ``_append_edges``.  It runs once per level
+of a partition table's prefix tree in ``graph_cell_edges``, and once per
+node over flat rows of labelings in ``_cell_edges``, always into the
+smallest unsigned dtype that holds n(n-1)/2 and in passes whose
+temporaries stay under the byte budget ``_STATS_BYTES``.
 
 Every decision of an exact sum over canonical partitions lives here: the
 table cap, the one pass of a graph over the table (``_table_pass``) and the
@@ -113,11 +111,11 @@ def _budget_passes(rows: int, row_bytes: int):
         yield lo, min(lo + step, rows)
 
 
-def _passes(rows: int, n: int, k: int, m: int):
-    """(lo, hi) row ranges for counting labelings of n nodes into k blocks
-    with m edges.  A row's footprint is its node slots plus up to four live
-    int64 arrays per edge and per cell."""
-    return _budget_passes(rows, 8 * (n + 4 * (m + k * (k + 1) // 2)))
+def _passes(rows: int, n: int, k: int):
+    """(lo, hi) row ranges for the per-labeling terms of labelings of n
+    nodes into k blocks.  A row's footprint is its node slots plus up to
+    four live int64 arrays per cell; edge counting budgets its own passes."""
+    return _budget_passes(rows, 8 * (n + 4 * (k * (k + 1) // 2)))
 
 
 def _block_pairs(counts: np.ndarray, k: int) -> np.ndarray:
@@ -129,27 +127,6 @@ def _block_pairs(counts: np.ndarray, k: int) -> np.ndarray:
     diag = cell_a == cell_b
     hn[..., diag] = ca[..., diag] * (ca[..., diag] - 1) // 2
     return hn
-
-
-def _cell_pairs(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block sizes (L, k) and node pairs per condensed cell (L, C), int64,
-    of the labelings in the rows of ``codes`` (values 0..k-1).  Callers
-    bound L with ``_passes``."""
-    L = codes.shape[0]
-    rows = np.arange(L, dtype=np.int64)[:, None]
-    counts = np.bincount((rows * k + codes).ravel(), minlength=L * k).reshape(L, k)
-    return counts, _block_pairs(counts, k)
-
-
-def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
-    """Edges per condensed cell (L, C), int64, of the labelings in the rows
-    of ``codes`` (values 0..k-1).  Callers bound L with ``_passes``."""
-    L = codes.shape[0]
-    _, _, cell_of = cell_layout(k)
-    C = k * (k + 1) // 2
-    cells = cell_of[codes[:, edges[:, 0]], codes[:, edges[:, 1]]]
-    rows = np.arange(L, dtype=np.int64)[:, None]
-    return np.bincount((rows * C + cells).ravel(), minlength=L * C).reshape(L, C)
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +205,7 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     P = codes.shape[0]
     cell_a = cell_layout(m_max)[0]
     hn = np.empty((P, cell_a.size), dtype=np.min_scalar_type(n * (n - 1) // 2))
-    for lo, hi in _passes(P, n, m_max, 0):
+    for lo, hi in _passes(P, n, m_max):
         hn[lo:hi] = _block_pairs(counts[lo:hi], m_max)
     ghalf = _log_gamma_tables(n)[0]
     return PartitionTable(
@@ -268,43 +245,58 @@ def _append_cells(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(pick[:, None]), _freeze(np.concatenate([cell_b, cell_a])), _freeze(blocks)
 
 
+def _node_columns(edges: np.ndarray) -> dict[int, list[int]]:
+    """{t: [t, its neighbours j < t]} for each node t with such a neighbour."""
+    cols = {}
+    for i, j in edges.tolist():
+        i, j = (i, j) if i < j else (j, i)
+        cols.setdefault(j, [j]).append(i)
+    return cols
+
+
+def _append_edges(ho: np.ndarray, codes: np.ndarray, leaves: np.ndarray | None, cols: list[int], k: int) -> None:
+    """Add to each row of ``ho`` (L, C) the edges between node t = cols[0]
+    and its earlier neighbours j in cols[1:], one in cell (label(j),
+    label(t)) each.  Row i reads its labels from codes[leaves[i]], or from
+    codes[i] when ``leaves`` is None."""
+    pick, gather, blocks = _append_cells(k)
+    C, dtype = ho.shape[1], ho.dtype
+    # live per row: the codes, then the labels of node t and its
+    # neighbours, their comparison with each block and the counts d;
+    # then the 2C picks, the gathered d and their products
+    row_bytes = codes.shape[1] + (k + 1) * len(cols) + 2 * C + dtype.itemsize * (k + 4 * C)
+    for lo, hi in _budget_passes(ho.shape[0], row_bytes):
+        rows = codes[lo:hi] if leaves is None else np.take(codes, leaves[lo:hi], axis=0)
+        labels = rows.T[cols]
+        d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)  # (k, rows)
+        inc = (labels[0] == pick) * d[gather]
+        ho[lo:hi] += (inc[:C] + inc[C:]).T
+
+
 def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
     """Edges per condensed cell for every partition: (P, C), in the dtype of
     ``table.hn``, counted down the table's prefix tree.  Node t joins at
-    level t, so a level-t row's counts are its parent's plus one in cell
-    (label(j), label(t)) for each neighbour j < t of node t: the work of
-    level t grows with its rows times those neighbours, not with P times
-    all edges.  A level whose node has no earlier neighbour copies nothing;
-    its rows point at an ancestor's counts until a later level adds to
-    them."""
-    n, k, C = table.n, table.m_max, table.cell_a.size
-    pick, gather, blocks = _append_cells(k)
-    dtype = table.hn.dtype
-    earlier = [[] for _ in range(n)]
-    for i, j in edges.tolist():
-        earlier[max(i, j)].append(min(i, j))
-    starts = table.level_start.tolist()
-    ho = np.zeros((1, C), dtype=dtype)
-    src = None  # the row of ho that holds each row's counts; None: its own
-    for t in range(1, n):
-        parent = table.parent[starts[t] : starts[t + 1]]
-        src = parent if src is None else src[parent]
-        if not earlier[t]:
-            continue
-        first_leaf = table.first_leaf[starts[t] : starts[t + 1]]
-        ho = np.take(ho, src, axis=0)
-        cols = [t] + earlier[t]
-        # live per row: the codes, then the labels of node t and its
-        # neighbours, their comparison with each block and the counts d;
-        # then the 2C picks, the gathered d and their products
-        row_bytes = n + (k + 1) * len(cols) + 2 * C + dtype.itemsize * (k + 4 * C)
-        for lo, hi in _budget_passes(src.size, row_bytes):
-            labels = np.take(table.codes, first_leaf[lo:hi], axis=0).T[cols]
-            d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)  # (k, rows)
-            inc = (labels[0] == pick) * d[gather]
-            ho[lo:hi] += (inc[:C] + inc[C:]).T
-        src = None
-    return ho if src is None else ho[src]
+    level t, so a level-t row's counts are its parent's plus node t's
+    edges to its earlier neighbours: the work of level t grows with its
+    rows times those neighbours, not with P times all edges."""
+    starts, cols = table.level_start.tolist(), _node_columns(edges)
+    ho = np.zeros((1, table.cell_a.size), dtype=table.hn.dtype)
+    for t in range(1, table.n):
+        ho = np.take(ho, table.parent[starts[t] : starts[t + 1]], axis=0)
+        if t in cols:
+            _append_edges(ho, table.codes, table.first_leaf[starts[t] : starts[t + 1]], cols[t], table.m_max)
+    return ho
+
+
+def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
+    """Edges per condensed cell (L, C) of the labelings in the rows of
+    ``codes`` (values 0..k-1), added one node at a time, in the smallest
+    unsigned dtype that holds n(n-1)/2."""
+    L, n = codes.shape
+    ho = np.zeros((L, k * (k + 1) // 2), dtype=np.min_scalar_type(n * (n - 1) // 2))
+    for cols in _node_columns(edges).values():
+        _append_edges(ho, codes, None, cols, k)
+    return ho
 
 
 def _table_pass(n: int, m_max: int, edges: np.ndarray) -> tuple[PartitionTable, np.ndarray, list]:
@@ -319,7 +311,7 @@ def _table_pass(n: int, m_max: int, edges: np.ndarray) -> tuple[PartitionTable, 
             f"m_max={m_max}, above the cap {TABLE_CAP}"
         )
     table = partition_table(n, m_max)
-    return table, graph_cell_edges(table, edges), list(_passes(table.size, n, m_max, 0))
+    return table, graph_cell_edges(table, edges), list(_passes(table.size, n, m_max))
 
 
 def _orbit_weights(table: PartitionTable, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,12 +324,15 @@ def _orbit_weights(table: PartitionTable, k: int) -> tuple[np.ndarray, np.ndarra
 
 def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
     """Yield (counts, hn, ho) over all k**n labelings, one budgeted pass at
-    a time: block sizes (L, k), and node pairs and edges per cell (L, C) in
-    the condensed cell layout of k.  Labeling i is the n base-k digits of i."""
+    a time: block sizes (L, k) and node pairs per cell (L, C), int64, and
+    edges per cell (L, C) from ``_cell_edges``, in the condensed cell layout
+    of k.  Labeling i is the n base-k digits of i."""
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for lo, hi in _passes(k**n, n, k, len(edges)):
-        codes = ((np.arange(lo, hi, dtype=np.int64)[:, None] // powers) % k).astype(np.int8)
-        yield (*_cell_pairs(codes, k), _cell_edges(codes, k, edges))
+    for lo, hi in _passes(k**n, n, k):
+        codes = np.arange(lo, hi, dtype=np.int64)[:, None] // powers
+        codes = np.remainder(codes, k, out=codes).astype(np.int8)  # in place: 8 bytes per node slot
+        counts = (codes[..., None] == np.arange(k, dtype=np.int8)).sum(axis=1, dtype=np.int64)
+        yield counts, _block_pairs(counts, k), _cell_edges(codes, k, edges)
 
 
 def labeling_stats(n: int, k: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

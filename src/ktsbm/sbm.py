@@ -17,11 +17,12 @@ block sizes, and the node pairs and edges of each condensed cell a <= b of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .partitions import _cell_edges, _cell_pairs, _freeze
+from .partitions import _block_pairs, _freeze, cell_layout
 from .seeds import rng_from_seed
 
 __all__ = [
@@ -170,6 +171,12 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+@lru_cache(maxsize=8)
+def _pair_nodes(n: int) -> np.ndarray:
+    """Endpoints i < j of the n(n-1)/2 condensed pairs, read-only (cached)."""
+    return _freeze(np.column_stack(np.triu_indices(n, 1)))
+
+
 class Graph:
     """Simple undirected graph stored as the condensed upper triangle."""
 
@@ -197,8 +204,7 @@ class Graph:
             raise ValidationError("adjacency must be symmetric")
         if not np.all((adj == 0) | (adj == 1)):
             raise ValidationError("adjacency entries must be 0 or 1")
-        iu = np.triu_indices(n, 1)
-        return cls(n, adj[iu].astype(bool))
+        return cls(n, adj[tuple(_pair_nodes(n).T)].astype(bool))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -226,14 +232,11 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """(m, 2) array of 0-based endpoints with i < j, lexicographic."""
-        iu, ju = np.triu_indices(self.n, 1)
-        sel = self.pairs
-        return np.column_stack([iu[sel], ju[sel]])
+        return _pair_nodes(self.n)[self.pairs]
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=np.uint8)
-        iu = np.triu_indices(self.n, 1)
-        adj[iu] = self.pairs
+        adj[tuple(_pair_nodes(self.n).T)] = self.pairs
         return adj + adj.T
 
     def permute_nodes(self, perm) -> "Graph":
@@ -270,9 +273,10 @@ def cell_stats(z: LabelVector, x: Graph, k: int) -> tuple[np.ndarray, np.ndarray
         raise ValidationError(f"labeling has length {len(z)} but graph has {x.n} nodes")
     if z.k > k or (len(z) and z.labels.max() > k):
         raise ValidationError(f"labels exceed k={k}")
-    codes = (z.labels - 1)[None, :]
-    counts, hn = _cell_pairs(codes, k)
-    return counts[0], hn[0], _cell_edges(codes, k, x.edges())[0]
+    labels, edges = z.labels - 1, x.edges()
+    counts = np.bincount(labels, minlength=k)
+    cells = cell_layout(k)[2][labels[edges[:, 0]], labels[edges[:, 1]]]
+    return counts, _block_pairs(counts, k), np.bincount(cells, minlength=k * (k + 1) // 2)
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> tuple[LabelVector, Graph]:
@@ -287,7 +291,7 @@ def sample_sbm(params: SbmParams, n: int, seed: int) -> tuple[LabelVector, Graph
     cum = np.cumsum(params.pi)
     u = rng.random(n)
     lab0 = np.minimum(np.searchsorted(cum, u, side="right"), params.k - 1)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _pair_nodes(n).T
     p_pair = params.P[lab0[iu], lab0[ju]]
     pairs = rng.random(iu.size) < p_pair
     return LabelVector(lab0 + 1, params.k), Graph(n, pairs)

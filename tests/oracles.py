@@ -98,3 +98,20 @@ def naive_profile_optimum(adj, k):
             best_lab = lab
     return best, best_lab
 
+
+
+def recount_cell_edges(codes, k, edges):
+    """Edges per cell a <= b (row-major) of every labeling in the rows of
+    ``codes`` (values 0..k-1), recounted edge by edge: (L, k(k+1)/2) int64.
+    Each edge (i, j) lands in cell (min, max) of its labels, whose row-major
+    index is a k - a (a - 1) / 2 + b - a; 4096 labelings at a time."""
+    codes = np.asarray(codes)
+    edges = np.asarray(edges, dtype=np.int64)
+    C = k * (k + 1) // 2
+    out = np.zeros((codes.shape[0], C), dtype=np.int64)
+    for lo in range(0, codes.shape[0], 4096):
+        ends = codes[lo : lo + 4096][:, edges.T]  # (rows, 2, m)
+        a, b = ends.min(axis=1).astype(np.int64), ends.max(axis=1).astype(np.int64)
+        flat = np.arange(len(ends))[:, None] * C + a * k - a * (a - 1) // 2 + b - a
+        out[lo : lo + 4096] = np.bincount(flat.ravel(), minlength=len(ends) * C).reshape(-1, C)
+    return out

@@ -281,6 +281,23 @@ def test_mc_std_error_scales_like_inverse_sqrt():
     assert slope == pytest.approx(-0.5, abs=0.1)
 
 
+@pytest.mark.parametrize(
+    "n, p, k, samples, seed, want",
+    [
+        # counts in uint16 past n = 23
+        (30, 0.3, 4, 4000, 5, (-278.1683952824265, 0.06427296691436431, 228.31146544442228)),
+        # two blocks of label draws
+        (6, 0.5, 2, 600_000, 6, (-10.318997893389914, 0.006748835181973315, 21180.442363758917)),
+    ],
+)
+def test_mc_values_are_frozen(n, p, k, samples, seed, want):
+    # frozen from the per-edge recount that the node-append step replaced;
+    # every count is an integer, so the values may not move by one bit
+    g = random_graph(np.random.default_rng(seed), n, p)
+    mc = log_kt_marginal_mc(g, k, samples, seed)
+    assert (mc.log_value, mc.std_error, mc.ess) == want
+
+
 def test_mc_validation():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from ktsbm import (
 from ktsbm import partitions
 from ktsbm.likelihood import sup_log_lik_upper_bound
 from ktsbm.partitions import cell_layout, graph_cell_edges, labeling_stats, partition_table
+from oracles import recount_cell_edges
 
 SRC = Path(partitions.__file__).parent
 
@@ -53,10 +55,10 @@ def test_counting_passes_do_not_change_results(monkeypatch):
         )
 
     default = results()
-    assert len(list(partitions._passes(3**8, 8, 3, g8.edge_count))) == 1
+    assert len(list(partitions._passes(3**8, 8, 3))) == 1
     assert_tables_match_a_recount()
     monkeypatch.setattr(partitions, "_STATS_BYTES", 4 << 10)
-    assert len(list(partitions._passes(table.size, 10, 4, g10.edge_count))) > 100
+    assert len(list(partitions._passes(table.size, 10, 4))) > 100
     small = results()
     assert_tables_match_a_recount()
 
@@ -70,23 +72,17 @@ def test_counting_passes_do_not_change_results(monkeypatch):
     assert np.array_equal(small[7][0].labels, default[7][0].labels) and small[7][1] == default[7][1]
 
 
-def _recount(table, edges):
-    """Edges per cell of every row of ``table``, edge by edge."""
-    return np.concatenate(
-        [
-            partitions._cell_edges(table.codes[lo:hi], table.m_max, edges)
-            for lo, hi in partitions._passes(table.size, table.n, table.m_max, len(edges))
-        ]
-    )
+def _test_graphs(n):
+    pairs = n * (n - 1) // 2
+    graphs = [Graph(n, np.zeros(pairs, bool)), Graph(n, np.ones(pairs, bool))]
+    return graphs + [random_graph(n, p, seed) for p, seed in ((0.3, 1), (0.6, 2))]
 
 
 @pytest.mark.parametrize("n, m_max", [(1, 1), (2, 2), (6, 3), (9, 9), (10, 4), (12, 4)])
 def test_graph_cell_edges_equals_a_per_edge_recount(monkeypatch, n, m_max):
     table = partition_table(n, m_max)
-    pairs = n * (n - 1) // 2
-    graphs = [Graph(n, np.zeros(pairs, bool)), Graph(n, np.ones(pairs, bool))]
-    graphs += [random_graph(n, p, seed) for p, seed in ((0.3, 1), (0.6, 2))]
-    want = [_recount(table, g.edges()) for g in graphs]
+    graphs = _test_graphs(n)
+    want = [recount_cell_edges(table.codes, m_max, g.edges()) for g in graphs]
     for budget in (partitions._STATS_BYTES, 4 << 10):
         monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
         for g, w in zip(graphs, want):
@@ -103,14 +99,40 @@ def test_graph_cell_edges_at_the_dtype_boundary(n, dtype):
     assert ho.tolist() == table.hn.tolist() == [[n * (n - 1) // 2]]
 
 
+def _random_codes(n, k):
+    # the first labeling puts every node in block 0
+    rng = np.random.default_rng(n)
+    return np.vstack([np.zeros((1, n), np.int8), rng.integers(0, k, size=(999, n), dtype=np.int8)])
+
+
+@pytest.mark.parametrize(
+    "n, k, every",
+    # (23, 3) and (24, 3): the complete graph in one block has 253 edges,
+    # which fit uint8, and 276, which need uint16
+    [(1, 1, False), (2, 2, False), (5, 3, False), (30, 8, False), (23, 3, False), (24, 3, False), (8, 3, True)],
+)
+def test_flat_cell_edges_equals_a_per_edge_recount(monkeypatch, n, k, every):
+    # random labelings, or all k**n of them
+    codes = np.array(list(itertools.product(range(k), repeat=n)), np.int8) if every else _random_codes(n, k)
+    graphs = _test_graphs(n)
+    want = [recount_cell_edges(codes, k, g.edges()) for g in graphs]
+    for budget in (partitions._STATS_BYTES, 4 << 10):
+        monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
+        for g, w in zip(graphs, want):
+            ho = partitions._cell_edges(codes, k, g.edges())
+            assert ho.dtype == np.min_scalar_type(n * (n - 1) // 2) and np.array_equal(ho, w)
+
+
 def assert_tables_match_a_recount():
     """Every table field equals a recount of the table's own codes: block
-    sizes and node pairs by ``_cell_pairs`` and ``_block_pairs``, blocks
-    and label part from the block sizes."""
+    sizes by comparison with each block, node pairs as the edges of the
+    complete graph by ``recount_cell_edges``, blocks and label part from
+    the block sizes."""
     ghalf = partitions._log_gamma_tables(10)[0]
     for n, m_max in [(1, 1), (6, 3), (9, 9), (10, 4)]:
         t = partition_table.__wrapped__(n, m_max)  # bypass the table cache
-        counts, hn = partitions._cell_pairs(t.codes, m_max)
+        counts = (t.codes[..., None] == np.arange(m_max)).sum(axis=1)
+        hn = recount_cell_edges(t.codes, m_max, np.argwhere(np.triu(np.ones((n, n)), 1)))
         assert (t.n, t.m_max, t.size) == (n, m_max, partitions.partition_count(n, m_max))
         assert np.array_equal(t.counts, counts) and np.array_equal(t.hn, hn)
         assert np.array_equal(t.hn, partitions._block_pairs(counts, m_max))
@@ -197,6 +219,28 @@ def test_partitions_alone_makes_enumeration_decisions():
             modules = {node.module for node in imports} | {alias.name for node in imports if node.module is None
                                                            for alias in node.names}
             assert "kt" not in modules
+
+
+def _references(tree, name):
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    ]
+
+
+def test_one_function_adds_edges_to_cells():
+    # the node-append step is the only code that reads the cell spread
+    # ``_append_cells``, so no second batch edge counter can use it
+    readers, references = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        references += len(_references(tree, "_append_cells"))
+        readers += [(path.name, fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and _references(fn, "_append_cells")]
+    assert readers == [("partitions.py", "_append_edges")] and references == 1
 
 
 def test_exact_estimate_memory_is_bounded():

@@ -107,6 +107,8 @@ def test_cell_stats_matches_naive_oracle():
         adj = adj + adj.T
         counts, hn, ho = cell_stats(LabelVector(labels, k), Graph.from_adjacency(adj), k)
         n_a, pairs, edges = naive_cells(labels.tolist(), adj.tolist(), k)
+        # int64, so that callers can update them in place
+        assert counts.dtype == hn.dtype == ho.dtype == np.int64
         assert np.array_equal(counts, n_a)
         assert np.array_equal(hn, pairs)
         assert np.array_equal(ho, edges)
