@@ -9,7 +9,9 @@ marginal K(x) = sum_z K(z) K(x|z) are all computable exactly for small n.
 All Gamma arithmetic goes through log-Gamma, with ratios paired as lgamma
 differences; no raw factorials appear anywhere.  Every Gamma argument of a
 cell or label term is an integer plus 1/2 or plus 1, so per-partition and
-per-sample terms are gathered from one pair of log-Gamma tables.
+per-sample terms are gathered from one pair of log-Gamma tables.  Exact sums
+hand ``partitions._table_pass`` the row term ``_kt_base``, and Prop. 3.1
+reads it beside ``likelihood``'s plug-in values from the same table pass.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError, require_int
-from .likelihood import _sup_bound
+from .likelihood import _plug_in_values, _sup_bound
 from .partitions import (
     _block_pairs,
     _cell_edges,
@@ -104,31 +106,27 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     return float(_cell_log_pred(ho, hn, x.n).sum())
 
 
+def _kt_base(table, ho: np.ndarray, rows: slice) -> np.ndarray:
+    """The row term of a ``_table_pass`` for log K_k(x): the k-independent
+    part of log K(z) K(x|z), label part plus log K(x|partition)."""
+    return table.label_part[rows] + _cell_log_pred(ho, table.hn[rows], table.n).sum(axis=1)
+
+
+def _kt_value(table, base: np.ndarray, k: int) -> KtValue:
+    """Exact log K_k(x) from the ``_kt_base`` values of a table with
+    m_max >= k: the partitions with at most k blocks enter with their orbit
+    weight k!/(k-m)!."""
+    usable, log_mult = _orbit_weights(table, k)
+    body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(table.n + k / 2.0)
+    return KtValue(log_value=min(_logsumexp(body), 0.0), method="exact", k=k, n=table.n)
+
+
 def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
     """Exact log K_k(x) for every k of ``ks`` from one pass over the
     canonical partitions with at most max(ks) blocks."""
     ks = [require_int("k", k) for k in ks]
-    return _log_kt_values(x.n, ks, *_table_pass(x.n, max(ks), x.edges()))
-
-
-def _log_kt_values(n: int, ks, table, ho: np.ndarray, passes) -> list[KtValue]:
-    """Exact log K_k(x) for every k of ``ks`` from a ``_table_pass`` with
-    m_max = max(ks) over a graph x on n nodes.
-
-    Per canonical partition, the k-independent part of log K(z) K(x|z) is
-    sum_used [lgamma(n_a+1/2) - lgamma(1/2)] + log K(x|partition),
-    evaluated one budgeted pass at a time; for each k, the partitions with
-    at most k blocks enter with their orbit weight k!/(k-m)!.
-    """
-    base = np.empty(table.size)
-    for lo, hi in passes:
-        base[lo:hi] = table.label_part[lo:hi] + _cell_log_pred(ho[lo:hi], table.hn[lo:hi], n).sum(axis=1)
-    values = []
-    for k in ks:
-        usable, log_mult = _orbit_weights(table, k)
-        body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(n + k / 2.0)
-        values.append(KtValue(log_value=min(_logsumexp(body), 0.0), method="exact", k=k, n=n))
-    return values
+    table, base = _table_pass(x.n, max(ks), x.edges(), _kt_base)
+    return [_kt_value(table, base, k) for k in ks]
 
 
 def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
@@ -223,29 +221,18 @@ def prop31_bound(k: int, n: int) -> BoundConstants:
     return BoundConstants(k=k, n=n, c_kn=float(c_kn), slope=slope, rhs=float(slope * np.log(n) + c_kn))
 
 
-def verify_prop31(x: Graph, k: int, sup_approx: float) -> tuple[float, float, bool]:
-    """Check sup log-likelihood minus log KT against the uniform bound.
+def verify_prop31(x: Graph, k: int) -> tuple[float, float, bool]:
+    """Certify sup log-likelihood minus log KT against the uniform bound.
 
-    With an approximate sup this is a necessary-condition test: any found
-    likelihood value must stay below the bound.  With an upper bound on the
-    sup (``likelihood.sup_log_lik_upper_bound``) a pass is a proof.
-    Returns (lhs, rhs, holds).
+    The sup is replaced by ``likelihood.sup_log_lik_upper_bound`` (the sup
+    itself at k = 1), so a pass is a proof for x.  Both terms come from one
+    table pass, made after the bound's size rule.  Returns (lhs, rhs, holds).
     """
-    return _prop31_verdict(prop31_bound(k, x.n), sup_approx, log_kt_marginal_exact(x, k))
-
-
-def _certify_prop31(x: Graph, k: int) -> tuple[float, float, bool]:
-    """verify_prop31(x, k, sup_log_lik_upper_bound(x, k)), with one table
-    pass read by both the sup bound and log K_k(x)."""
     k = require_int("k", k)
-    table_pass = _table_pass(x.n, k, x.edges())
-    bound = prop31_bound(k, x.n)
-    return _prop31_verdict(bound, _sup_bound(x.n, k, *table_pass), _log_kt_values(x.n, [k], *table_pass)[0])
-
-
-def _prop31_verdict(bound: BoundConstants, sup: float, kt: KtValue) -> tuple[float, float, bool]:
-    lhs = sup - kt.log_value
-    return float(lhs), bound.rhs, bool(lhs <= bound.rhs + 1e-9)
+    rhs = prop31_bound(k, x.n).rhs
+    table, base, plug_in = _table_pass(x.n, k, x.edges(), _kt_base, _plug_in_values)
+    lhs = _sup_bound(table, plug_in, k) - _kt_value(table, base, k).log_value
+    return float(lhs), rhs, bool(lhs <= rhs + 1e-9)
 
 
 def gamma_composition_inequality(parts) -> tuple[float, float, bool]:

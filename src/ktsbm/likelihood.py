@@ -184,19 +184,17 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
     return LabelVector(lab + 1, k), val
 
 
-def _profile_values(n: int, table, ho: np.ndarray, passes) -> np.ndarray:
-    """The plug-in value of each partition of a ``_table_pass`` over a graph
-    on n nodes, one budgeted pass at a time."""
-    obj = np.empty(table.size)
-    for lo, hi in passes:
-        obj[lo:hi] = _objective_cells(table.counts[lo:hi], table.hn[lo:hi], ho[lo:hi], n)
-    return obj
+def _plug_in_values(table, ho: np.ndarray, rows: slice) -> np.ndarray:
+    """The plug-in value of the partitions ``rows`` of ``table``, whose
+    edges per cell are ``ho``: the row term of a ``_table_pass``."""
+    return _objective_cells(table.counts[rows], table.hn[rows], ho, table.n)
 
 
-def _sup_bound(n: int, k: int, table, ho: np.ndarray, passes) -> float:
-    """``sup_log_lik_upper_bound`` from a ``_table_pass`` with m_max = k."""
+def _sup_bound(table, values: np.ndarray, k: int) -> float:
+    """``sup_log_lik_upper_bound`` from the ``_plug_in_values`` of a table
+    with m_max = k."""
     usable, log_mult = _orbit_weights(table, k)
-    return _logsumexp(_profile_values(n, table, ho, passes)[usable] + log_mult)
+    return _logsumexp(values[usable] + log_mult)
 
 
 def profile_label_search(
@@ -217,8 +215,7 @@ def profile_label_search(
     require_int("k", k)
     require_int("restarts", restarts)
     if mode == "exact":
-        table, ho, passes = _table_pass(x.n, k, x.edges())
-        obj = _profile_values(x.n, table, ho, passes)
+        table, obj = _table_pass(x.n, k, x.edges(), _plug_in_values)
         best = int(np.argmax(obj))
         return LabelVector(table.codes[best] + 1, k), float(obj[best])
     if mode == "local":
@@ -235,7 +232,7 @@ def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
     sum runs over canonical partitions with their orbit weights.
     """
     require_int("k", k)
-    return _sup_bound(x.n, k, *_table_pass(x.n, k, x.edges()))
+    return _sup_bound(*_table_pass(x.n, k, x.edges(), _plug_in_values), k)
 
 
 def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:

@@ -22,9 +22,10 @@ smallest unsigned dtype that holds n(n-1)/2 and in passes whose
 temporaries stay under the byte budget ``_STATS_BYTES``.
 
 Every decision of an exact sum over canonical partitions lives here: the
-table cap, the one pass of a graph over the table (``_table_pass``) and the
-orbit weight k!/(k-m)! (``_orbit_weights``).  So do the one logsumexp and
-the one pair of log-Gamma tables that the KT terms gather from.
+table cap, the one loop over a graph's passes of the table (``_table_pass``,
+which evaluates the row terms its callers hand it and returns only their
+values) and the orbit weight k!/(k-m)! (``_orbit_weights``).  So do the one
+logsumexp and the one pair of log-Gamma tables that the KT terms gather from.
 """
 
 from __future__ import annotations
@@ -122,10 +123,9 @@ def _block_pairs(counts: np.ndarray, k: int) -> np.ndarray:
     """Node pairs per condensed cell (..., C) from block sizes (..., k):
     n_a n_b for a < b and n_a (n_a - 1) / 2 for a = b."""
     cell_a, cell_b, _ = cell_layout(k)
-    ca = counts[..., cell_a]
-    hn = ca * counts[..., cell_b]
-    diag = cell_a == cell_b
-    hn[..., diag] = ca[..., diag] * (ca[..., diag] - 1) // 2
+    hn = counts[..., cell_a]
+    hn *= counts[..., cell_b]
+    hn[..., cell_a == cell_b] = counts * (counts - 1) // 2  # diagonal cells in block order
     return hn
 
 
@@ -299,10 +299,11 @@ def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
     return ho
 
 
-def _table_pass(n: int, m_max: int, edges: np.ndarray) -> tuple[PartitionTable, np.ndarray, list]:
-    """The canonical partitions of n nodes with at most m_max blocks, refused
-    above the cap before they are built; their edges per condensed cell in
-    the graph with ``edges``; and the budgeted (lo, hi) row ranges."""
+def _table_pass(n: int, m_max: int, edges: np.ndarray, *terms) -> tuple:
+    """(table, *values): the canonical partitions of n nodes with at most
+    m_max blocks, refused above the cap before they are built, and the (P,)
+    values of each row term ``f(table, ho, rows)``, evaluated on budgeted
+    row slices ``rows`` with ``ho`` the graph's edges per cell in them."""
     m_max = min(m_max, n)
     count = partition_count(n, m_max)
     if count > TABLE_CAP:
@@ -311,7 +312,12 @@ def _table_pass(n: int, m_max: int, edges: np.ndarray) -> tuple[PartitionTable, 
             f"m_max={m_max}, above the cap {TABLE_CAP}"
         )
     table = partition_table(n, m_max)
-    return table, graph_cell_edges(table, edges), list(_passes(table.size, n, m_max))
+    ho = graph_cell_edges(table, edges)
+    values = [np.empty(table.size) for _ in terms]
+    for lo, hi in _passes(table.size, n, m_max):
+        for out, term in zip(values, terms):
+            out[lo:hi] = term(table, ho[lo:hi], slice(lo, hi))
+    return (table, *values)
 
 
 def _orbit_weights(table: PartitionTable, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,8 +333,14 @@ def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
     a time: block sizes (L, k) and node pairs per cell (L, C), int64, and
     edges per cell (L, C) from ``_cell_edges``, in the condensed cell layout
     of k.  Labeling i is the n base-k digits of i."""
+    C, s = k * (k + 1) // 2, np.min_scalar_type(n * (n - 1) // 2).itemsize
+    # bytes per row: the pass the consumer still holds, this pass's codes and
+    # block sizes, and the largest of: the int64 digits, the comparison with
+    # each block, _block_pairs' arrays, or the cells beside _append_edges' arrays
+    held = 8 * k + (8 + s) * C
+    work = max(8 * n + 8, n * k, 16 * C + 24 * k, (10 + 5 * s) * C + (k + 2) * n + s * k)
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for lo, hi in _passes(k**n, n, k):
+    for lo, hi in _budget_passes(k**n, held + n + 8 * k + work):
         codes = np.arange(lo, hi, dtype=np.int64)[:, None] // powers
         codes = np.remainder(codes, k, out=codes).astype(np.int8)  # in place: 8 bytes per node slot
         counts = (codes[..., None] == np.arange(k, dtype=np.int8)).sum(axis=1, dtype=np.int64)

@@ -151,6 +151,22 @@ def test_prop31_suite_counts_each_graph_once(monkeypatch):
     assert len(calls) == 64  # one table pass per graph of 4 nodes
 
 
+def test_prop31_suite_holds_one_graph_at_a_time():
+    # the 1024 graphs on 5 nodes held at once take about 0.19 MiB traced;
+    # 2**28 of them on 8 nodes would take 46 GiB
+    import tracemalloc
+
+    from ktsbm import Graph, verify_prop31
+
+    verify_prop31(Graph.from_edges(5, []), 1)  # build the table and log-Gamma tables first
+    tracemalloc.start()
+    try:
+        assert prop31_suite(n_values=(5,), k_values=(1,)).ok
+        assert tracemalloc.get_traced_memory()[1] < 64 << 10
+    finally:
+        tracemalloc.stop()
+
+
 def test_lemma_a2_suite_passes():
     rep = lemma_a2_suite()
     assert rep.ok

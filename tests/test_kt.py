@@ -326,21 +326,43 @@ def test_prop31_c_decreasing_in_n():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def _closed_form_lhs_k1(g):
+    """m gamma(edges/m) - log K_1(x) with m = n(n-1)/2: at k = 1 the sup of
+    the likelihood is the plug-in value of the one labeling."""
+    from ktsbm.likelihood import gamma_fn
+
+    m = g.n * (g.n - 1) // 2
+    return m * gamma_fn(g.edge_count / m) - log_kt_marginal_exact(g, 1).log_value
+
+
 def test_verify_prop31_empty_graph():
     g = Graph.from_edges(5, [])
-    lhs, rhs, holds = verify_prop31(g, 1, sup_approx=0.0)  # p_hat = 0 -> sup = 1
+    lhs, rhs, holds = verify_prop31(g, 1)  # p_hat = 0 -> log sup = 0
+    assert lhs == pytest.approx(_closed_form_lhs_k1(g), abs=1e-12)
     assert lhs >= 0.0
     assert holds
 
 
 def test_verify_prop31_all_graphs_n4_k1():
     from ktsbm import enumerate_graphs
-    from ktsbm.likelihood import gamma_fn
 
     for g in enumerate_graphs(4):
-        sup = 6 * gamma_fn(g.edge_count / 6)
-        _, _, holds = verify_prop31(g, 1, sup)
+        lhs, rhs, holds = verify_prop31(g, 1)
+        assert lhs == pytest.approx(_closed_form_lhs_k1(g), abs=1e-12)
         assert holds
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_prop31_is_the_sup_bound_minus_log_kt(n):
+    # one table pass gives both terms, to the bit
+    from ktsbm import enumerate_graphs
+    from ktsbm.likelihood import sup_log_lik_upper_bound
+
+    for g in enumerate_graphs(n):
+        for k in (1, 2, 3):
+            want = sup_log_lik_upper_bound(g, k) - log_kt_marginal_exact(g, k).log_value
+            lhs, rhs, holds = verify_prop31(g, k)
+            assert lhs == want and rhs == prop31_bound(k, n).rhs and holds
 
 
 # --------------------------------------------------- Gamma composition

@@ -11,12 +11,14 @@ from ktsbm import (
     InfeasibleSizeError,
     PenaltySpec,
     SbmParams,
+    ValidationError,
     estimate_order,
     log_kt_marginal_exact,
     log_kt_marginal_mc,
     marginal_log_lik_exact,
     profile_label_search,
     sample_sbm,
+    verify_prop31,
 )
 from ktsbm import partitions
 from ktsbm.likelihood import sup_log_lik_upper_bound
@@ -52,6 +54,8 @@ def test_counting_passes_do_not_change_results(monkeypatch):
             marginal_log_lik_exact(params, g8),
             log_kt_marginal_exact(g10, 4),
             profile_label_search(g10, 4),
+            sup_log_lik_upper_bound(g10, 4),
+            verify_prop31(g10, 4),
         )
 
     default = results()
@@ -70,6 +74,7 @@ def test_counting_passes_do_not_change_results(monkeypatch):
     assert small[5] == pytest.approx(default[5], abs=1e-12)  # per-pass logsumexp reorders
     assert small[6] == default[6]  # per-partition terms are row-wise, so bit-identical
     assert np.array_equal(small[7][0].labels, default[7][0].labels) and small[7][1] == default[7][1]
+    assert small[8] == default[8] and small[9] == default[9]
 
 
 def _test_graphs(n):
@@ -192,6 +197,29 @@ def test_table_cap_refuses_before_building(n, k):
         lambda: sup_log_lik_upper_bound(g, k),
     ):
         assert _traced_peak(lambda: _refused(call)) < 1 << 20
+
+
+@pytest.mark.parametrize("n, k", [(11, 4), (10, 5), (14, 3)])
+def test_labeling_passes_keep_the_byte_budget(n, k):
+    # two passes, so that the consumer holds the first while the second is
+    # made; 66.0, 66.9 and 59.8 MiB when a row was budgeted 8 (n + 4C) bytes
+    edges = random_graph(n, 0.5, n).edges()
+    passes = lambda: list(itertools.islice(partitions.iter_labeling_stats(n, k, edges), 2))
+    assert _traced_peak(passes) < partitions._STATS_BYTES
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (11, 12)])
+def test_prop31_size_rule_refuses_before_building(n, k):
+    # n < max(4, k); a table at (11, 12) would hold Bell(11) = 678 570 rows
+    g = random_graph(n, 0.5, 3)
+    partition_table.cache_clear()
+
+    def refused():
+        with pytest.raises(ValidationError, match="bound requires n >= max"):
+            verify_prop31(g, k)
+
+    assert _traced_peak(refused) < 1 << 20
+    assert partition_table.cache_info().currsize == 0
 
 
 def test_largest_table_under_the_cap():
