@@ -8,10 +8,11 @@ marginal K(x) = sum_z K(z) K(x|z) are all computable exactly for small n.
 
 All Gamma arithmetic goes through log-Gamma, with ratios paired as lgamma
 differences; no raw factorials appear anywhere.  Every Gamma argument of a
-cell or label term is an integer plus 1/2 or plus 1, so per-partition and
-per-sample terms are gathered from one pair of log-Gamma tables.  Exact sums
-hand ``partitions._table_pass`` the row term ``_kt_base``, and Prop. 3.1
-reads it beside ``likelihood``'s plug-in values from the same table pass.
+cell or label term is an integer plus 1/2 or plus 1, read from one pair of
+log-Gamma tables, and every cell term is gathered from its per-n grid
+(``partitions._cell_terms``).  Exact sums hand ``partitions._table_pass``
+the row term ``_kt_base``, and Prop. 3.1 reads it beside ``likelihood``'s
+plug-in values from the same table pass.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .likelihood import _plug_in_values, _sup_bound
 from .partitions import (
     _block_pairs,
     _cell_edges,
+    _cell_terms,
     _log_gamma_tables,
     _logsumexp,
     _orbit_weights,
@@ -88,16 +90,21 @@ def log_kt_labels(z: LabelVector, k: int) -> float:
     )
 
 
+def _beta_log_pred(hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
+    """The cell formula of ``_cell_log_pred``, from the log-Gamma tables."""
+    ghalf, gone = _log_gamma_tables(n * (n - 1) // 2)
+    return ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
+
+
 def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
     """Beta(1/2,1/2) predictive log-probability per condensed cell of a
-    graph on n nodes.
+    graph on n nodes, gathered by ``partitions._cell_terms``.
 
     For a cell with hn node pairs and ho edges the integral is
     Gamma(ho+1/2) Gamma(hn-ho+1/2) / (pi * Gamma(hn+1)); an empty cell
     gives 2 lgamma(1/2) - lgamma(1) - log pi, exactly 0.
     """
-    ghalf, gone = _log_gamma_tables(n * (n - 1) // 2)
-    return ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
+    return _cell_terms(_beta_log_pred, n, hn, ho)
 
 
 def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:

@@ -14,6 +14,7 @@ log space via scipy's ``xlogy``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import xlogy
@@ -22,6 +23,8 @@ from .errors import InfeasibleSizeError, ValidationError, require_int
 from .partitions import (
     _block_pairs,
     _budget_passes,
+    _cell_terms,
+    _freeze,
     _logsumexp,
     _orbit_weights,
     _table_pass,
@@ -133,12 +136,22 @@ def max_complete_log_lik(z: LabelVector, x: Graph, k: int) -> float:
     return float(_objective_cells(*cell_stats(z, x, k), len(z)))
 
 
+def _plug_in_cell(hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
+    """hn gamma(ho/hn), the cell term of ``_objective_cells``."""
+    ratio = _pair_ratio(ho, hn)
+    return xlogy(ho, ratio) + xlogy(hn - ho, 1.0 - ratio)
+
+
+@lru_cache(maxsize=None)
+def _label_terms(n: int) -> np.ndarray:
+    """n_a log(n_a/n) for every block size n_a = 0..n."""
+    return _freeze(xlogy(np.arange(n + 1), np.arange(n + 1) / n))
+
+
 def _objective_cells(counts: np.ndarray, hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
     """Vectorized plug-in likelihood for rows of condensed-cell statistics."""
-    label_term = xlogy(counts, counts / n).sum(axis=-1)
-    ratio = _pair_ratio(ho, hn)
-    cell_term = xlogy(ho, ratio) + xlogy(hn - ho, 1.0 - ratio)
-    return label_term + cell_term.sum(axis=-1)
+    label_term = _label_terms(n)[counts].sum(axis=-1)
+    return label_term + _cell_terms(_plug_in_cell, n, hn, ho).sum(axis=-1)
 
 
 def _move_values(counts: np.ndarray, ho: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:

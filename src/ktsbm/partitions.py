@@ -25,7 +25,8 @@ Every decision of an exact sum over canonical partitions lives here: the
 table cap, the one loop over a graph's passes of the table (``_table_pass``,
 which evaluates the row terms its callers hand it and returns only their
 values) and the orbit weight k!/(k-m)! (``_orbit_weights``).  So do the one
-logsumexp and the one pair of log-Gamma tables that the KT terms gather from.
+logsumexp, the log-Gamma tables, and ``_cell_terms``, which evaluates a
+cell formula of (hn, ho) once per n and gathers every cell's term from it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,30 @@ def _log_gamma_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
         i = np.arange(max(top + 1, 2 * tables[0].size), dtype=np.float64)
         tables = _LOG_GAMMA = _freeze(gammaln(i + 0.5)), _freeze(gammaln(i + 1.0))
     return tables
+
+
+@lru_cache(maxsize=None)
+def _cell_grid(formula, n: int) -> np.ndarray:
+    """formula(hn, ho, n) at hn (M + 1) + ho for 0 <= ho <= hn <= M = n(n-1)/2,
+    NaN elsewhere.  Cached per (formula, n); ``_cell_terms`` asks only for n <= 23."""
+    top = n * (n - 1) // 2
+    hn, ho = np.tril_indices(top + 1)
+    grid = np.full((top + 1, top + 1), np.nan)
+    grid[hn, ho] = formula(hn, ho, n)
+    return _freeze(grid.ravel())
+
+
+def _cell_terms(formula, n: int, hn: np.ndarray, ho: np.ndarray) -> np.ndarray:
+    """formula(hn, ho, n) for cells of hn node pairs and ho edges on n nodes:
+    one gather from ``_cell_grid`` while its flat index fits in uint16 (n <= 23,
+    a grid of at most 504 KiB), else the formula itself."""
+    top = n * (n - 1) // 2
+    if (top + 1) ** 2 > 1 << 16:
+        return formula(hn, ho, n)
+    # uint16 loops whatever the counts' integer dtype, so no promotion rule applies
+    idx = np.multiply(hn, top + 1, dtype=np.uint16, casting="unsafe")
+    np.add(idx, ho, out=idx, dtype=np.uint16, casting="unsafe")
+    return _cell_grid(formula, n).take(idx)
 
 
 def _logsumexp(a: np.ndarray) -> float:

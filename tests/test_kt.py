@@ -170,15 +170,20 @@ def test_cell_ratio_bound():
 # ------------------------------------------------------ log-Gamma tables
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 12, 30])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 22, 23, 24, 30])
 def test_cell_log_pred_matches_gammaln_bitwise(n):
+    # n <= 23 gathers from the (hn, ho) grid, n >= 24 runs the formula; the
+    # table hands in uint8 or uint16 counts and cell_stats int64
     from ktsbm.kt import _LOG_PI, _cell_log_pred
 
     top = n * (n - 1) // 2
     hn, ho = np.tril_indices(top + 1)  # every 0 <= ho <= hn <= top
     direct = gammaln(ho + 0.5) + gammaln(hn - ho + 0.5) - gammaln(hn + 1.0) - _LOG_PI
     want = np.where(hn > 0, direct, 0.0)
-    assert np.array_equal(_cell_log_pred(ho, hn, n), want)
+    for dtype in (np.uint8, np.uint16, np.int64):
+        if top <= np.iinfo(dtype).max:
+            got = _cell_log_pred(ho.astype(dtype), hn.astype(dtype), n)
+            assert np.array_equal(got, want)
 
 
 def test_private_logsumexp_matches_scipy_bitwise():

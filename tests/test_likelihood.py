@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from ktsbm import (
     Graph,
@@ -479,3 +480,59 @@ def test_sparse_decomposition_validation():
     g = Graph.from_edges(2, [])
     with pytest.raises(ValidationError):
         sparse_decomposition_check(z, g, 0.0, 1)
+
+
+# ------------------------------------------------------ gathered plug-in terms
+
+
+def _direct_objective(counts, hn, ho, n):
+    ratio = np.zeros(np.broadcast(ho, hn).shape)
+    np.divide(ho, hn, out=ratio, where=hn > 0)
+    label_term = xlogy(counts, counts / n).sum(axis=-1)
+    return label_term + (xlogy(ho, ratio) + xlogy(hn - ho, 1.0 - ratio)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 23, 24, 30])
+def test_objective_cells_matches_xlogy_bitwise(n):
+    # n <= 23 gathers from the (hn, ho) grid, n >= 24 runs the formula, at
+    # every 0 <= ho <= hn <= n(n-1)/2 and on random rows of k = 3 blocks
+    from ktsbm.likelihood import _objective_cells
+
+    top = n * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    hn, ho = np.tril_indices(top + 1)
+    points = (np.zeros((hn.size, 0), dtype=np.int64), hn[:, None], ho[:, None])
+    row_hn = rng.integers(0, top + 1, size=(200, 6))
+    rows = (rng.multinomial(n, np.ones(3) / 3, size=200), row_hn, rng.integers(0, row_hn + 1))
+    for counts, hn, ho in (points, rows):
+        want = _direct_objective(counts, hn, ho, n)
+        for dtype in (np.uint8, np.uint16, np.int64):
+            if top <= np.iinfo(dtype).max:
+                got = _objective_cells(counts, hn.astype(dtype), ho.astype(dtype), n)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, _direct_objective(counts, hn.astype(dtype), ho.astype(dtype), n))
+
+
+def test_plug_in_gathers_every_per_partition_term(monkeypatch):
+    # per-partition work must not slip back to xlogy: once a warm-up call has
+    # built the plug-in terms of n, only arrays of at most k entries may reach it
+    from ktsbm import likelihood, verify_prop31
+    from ktsbm.partitions import _cell_grid
+
+    k = 4
+    g = Graph(10, np.random.default_rng(11).random(45) < 0.5)
+    sizes = []
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return xlogy(x, *args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "xlogy", counting)
+    _cell_grid.cache_clear()
+    likelihood._label_terms.cache_clear()
+    profile_label_search(g, k, mode="exact")
+    assert max(sizes) > k  # the warm-up built the terms through the patch
+    sizes.clear()
+    profile_label_search(g, k, mode="exact")
+    verify_prop31(g, k)
+    assert max(sizes, default=0) <= k
