@@ -43,9 +43,10 @@ def read_graph_file(path) -> Graph:
         raise GraphFormatError(f"node count must be positive, got {n}", 1)
     if m < 0:
         raise GraphFormatError(f"edge count must be nonnegative, got {m}", 1)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(lines) - 1 != len(body) and any(ln.strip() for ln in lines[1:][len(body):]):
-        raise GraphFormatError("blank line inside edge list", None)
+    body = "\n".join(lines[1:]).rstrip().splitlines()  # blank lines may only end the file
+    for lineno, ln in enumerate(body, start=2):
+        if not ln.strip():
+            raise GraphFormatError("blank line inside edge list", lineno)
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges but file has {len(body)}", 1)
     pairs = np.zeros(n * (n - 1) // 2, dtype=bool)
@@ -70,9 +71,9 @@ def write_labels_file(path, z: LabelVector) -> None:
 
 def read_labels_file(path, k: int | None = None) -> LabelVector:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(lineno, ln) for lineno, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     vals = []
-    for lineno, ln in enumerate(lines, start=1):
+    for lineno, ln in lines:
         (v,) = _parse_ints(ln, 1, lineno)
         if v < 1:
             raise GraphFormatError(f"label must be >= 1, got {v}", lineno)

@@ -8,7 +8,7 @@ marginal K(x) = sum_z K(z) K(x|z) are all computable exactly for small n.
 
 All Gamma arithmetic goes through log-Gamma, with ratios paired as lgamma
 differences; no raw factorials appear anywhere.  Every Gamma argument of a
-cell or label term is an integer plus 1/2 or plus 1, read from one pair of
+cell or label term is an integer plus 1/2 or plus 1, read from the cached
 log-Gamma tables, and every cell term is gathered from its per-n grid
 (``partitions._cell_terms``).  Exact sums hand ``partitions._table_pass``
 the row term ``_kt_base``, and Prop. 3.1 reads it beside ``likelihood``'s
@@ -115,7 +115,7 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
 
 def _kt_base(table, ho: np.ndarray, rows: slice) -> np.ndarray:
     """The row term of a ``_table_pass`` for log K_k(x): the k-independent
-    part of log K(z) K(x|z), label part plus log K(x|partition)."""
+    part of log K(z) K(x|z), the table's KT label part plus log K(x|partition)."""
     return table.label_part[rows] + _cell_log_pred(ho, table.hn[rows], table.n).sum(axis=1)
 
 

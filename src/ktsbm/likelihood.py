@@ -14,7 +14,6 @@ log space via scipy's ``xlogy``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import xlogy
@@ -24,7 +23,7 @@ from .partitions import (
     _block_pairs,
     _budget_passes,
     _cell_terms,
-    _freeze,
+    _label_terms,
     _logsumexp,
     _orbit_weights,
     _table_pass,
@@ -142,16 +141,9 @@ def _plug_in_cell(hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
     return xlogy(ho, ratio) + xlogy(hn - ho, 1.0 - ratio)
 
 
-@lru_cache(maxsize=None)
-def _label_terms(n: int) -> np.ndarray:
-    """n_a log(n_a/n) for every block size n_a = 0..n."""
-    return _freeze(xlogy(np.arange(n + 1), np.arange(n + 1) / n))
-
-
 def _objective_cells(counts: np.ndarray, hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
     """Vectorized plug-in likelihood for rows of condensed-cell statistics."""
-    label_term = _label_terms(n)[counts].sum(axis=-1)
-    return label_term + _cell_terms(_plug_in_cell, n, hn, ho).sum(axis=-1)
+    return _label_terms(n)[1][counts].sum(axis=-1) + _cell_terms(_plug_in_cell, n, hn, ho).sum(axis=-1)
 
 
 def _move_values(counts: np.ndarray, ho: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -200,7 +192,7 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
 def _plug_in_values(table, ho: np.ndarray, rows: slice) -> np.ndarray:
     """The plug-in value of the partitions ``rows`` of ``table``, whose
     edges per cell are ``ho``: the row term of a ``_table_pass``."""
-    return _objective_cells(table.counts[rows], table.hn[rows], ho, table.n)
+    return table.plug_in_part[rows] + _cell_terms(_plug_in_cell, table.n, table.hn[rows], ho).sum(axis=-1)
 
 
 def _sup_bound(table, values: np.ndarray, k: int) -> float:

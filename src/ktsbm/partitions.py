@@ -25,8 +25,9 @@ Every decision of an exact sum over canonical partitions lives here: the
 table cap, the one loop over a graph's passes of the table (``_table_pass``,
 which evaluates the row terms its callers hand it and returns only their
 values) and the orbit weight k!/(k-m)! (``_orbit_weights``).  So do the one
-logsumexp, the log-Gamma tables, and ``_cell_terms``, which evaluates a
-cell formula of (hn, ho) once per n and gathers every cell's term from it.
+logsumexp, the log-Gamma tables, both exact objectives' label terms per
+block size (``_label_terms``) and ``_cell_terms``, which evaluates a cell
+formula of (hn, ho) once per n and gathers every cell's term from it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .errors import InfeasibleSizeError
 
@@ -74,21 +75,20 @@ def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(cell_a), _freeze(cell_b), _freeze(cell_of)
 
 
-_LOG_GAMMA = _freeze(np.empty(0)), _freeze(np.empty(0))
-
-
+@lru_cache(maxsize=None)
 def _log_gamma_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables (gammaln(i + 1/2), gammaln(i + 1)) for i = 0..top at
-    least.  Every Gamma argument of a KT term is such a value, so all of
-    them are gathered from this one pair, grown (doubling) on demand.  A
-    value does not depend on the table's size, so a thread that replaces the
-    pair with a smaller one only costs another build."""
-    global _LOG_GAMMA
-    tables = _LOG_GAMMA
-    if tables[0].size <= top:
-        i = np.arange(max(top + 1, 2 * tables[0].size), dtype=np.float64)
-        tables = _LOG_GAMMA = _freeze(gammaln(i + 0.5)), _freeze(gammaln(i + 1.0))
-    return tables
+    """Read-only (gammaln(i + 1/2), gammaln(i + 1)) for i = 0..top, cached
+    per top: every Gamma argument of a KT term is gathered from them."""
+    i = np.arange(top + 1, dtype=np.float64)
+    return _freeze(gammaln(i + 0.5)), _freeze(gammaln(i + 1.0))
+
+
+@lru_cache(maxsize=None)
+def _label_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only label terms for block sizes n_a = 0..n of n nodes, KT's
+    lgamma(n_a + 1/2) - lgamma(1/2) and the plug-in n_a log(n_a/n)."""
+    ghalf, sizes = _log_gamma_tables(n)[0], np.arange(n + 1)
+    return _freeze(ghalf - ghalf[0]), _freeze(xlogy(sizes, sizes / n))
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +145,9 @@ def _passes(rows: int, n: int, k: int):
 
 
 def _block_pairs(counts: np.ndarray, k: int) -> np.ndarray:
-    """Node pairs per condensed cell (..., C) from block sizes (..., k):
-    n_a n_b for a < b and n_a (n_a - 1) / 2 for a = b."""
+    """Node pairs per condensed cell (..., C) from block sizes (..., k), in
+    their dtype: n_a n_b for a < b and n_a (n_a - 1) / 2 for a = b (an
+    unsigned n_a - 1 wraps at n_a = 0, where the product is still 0)."""
     cell_a, cell_b, _ = cell_layout(k)
     hn = counts[..., cell_a]
     hn *= counts[..., cell_b]
@@ -168,12 +169,13 @@ def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, ...]:
     """All restricted growth strings of length n over at most m_max values,
     grown one node per level of a prefix tree: codes (P, n) int8 with first
     occurrences in order 0, 1, 2, ..., the largest value of each, the block
-    sizes (P, m_max) int64 (a child's are its parent's plus one in the block
-    of its new value), and the tree's level_start, parent and first_leaf
-    (see ``PartitionTable``)."""
+    sizes (P, m_max) in the smallest unsigned dtype that holds n(n-1), where
+    ``_block_pairs`` forms node pairs (a child's are its parent's plus one in
+    the block of its new value), and the tree's level_start, parent and
+    first_leaf (see ``PartitionTable``)."""
     codes = np.zeros((1, 1), dtype=np.int8)
     maxval = np.zeros(1, dtype=np.int8)
-    counts = np.zeros((1, m_max), dtype=np.int64)
+    counts = np.zeros((1, m_max), dtype=np.min_scalar_type(n * (n - 1)))
     counts[0, 0] = 1
     parents, first_child = [np.zeros(1, dtype=np.int32)], []
     for _ in range(n - 1):
@@ -198,17 +200,17 @@ def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class PartitionTable:
     """Canonical labelings of n nodes with at most m_max blocks, plus the
-    graph-independent parts of their statistics and KT terms."""
+    graph-independent parts of their statistics and of both exact objectives."""
 
     n: int
     m_max: int
     codes: np.ndarray      # (P, n) int8, restricted growth strings
-    nblocks: np.ndarray    # (P,) int64
-    counts: np.ndarray     # (P, m_max) int64 block sizes
+    nblocks: np.ndarray    # (P,) int8
     hn: np.ndarray         # (P, C) pairs per condensed cell, in the smallest
                            # unsigned dtype that holds n(n-1)/2
     cell_a: np.ndarray     # (C,) first block of each condensed cell
-    label_part: np.ndarray  # (P,) sum_a [lgamma(n_a+1/2) - lgamma(1/2)]
+    label_part: np.ndarray    # (P,) KT: sum_a [lgamma(n_a+1/2) - lgamma(1/2)]
+    plug_in_part: np.ndarray  # (P,) plug-in: sum_a n_a log(n_a/n)
     # The prefix tree of the codes: level t holds the distinct prefixes of
     # length t + 1, at rows level_start[t]:level_start[t + 1] (int64, n + 1
     # entries) of the two int32 arrays below.  parent is a row's parent's
@@ -230,18 +232,21 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     P = codes.shape[0]
     cell_a = cell_layout(m_max)[0]
     hn = np.empty((P, cell_a.size), dtype=np.min_scalar_type(n * (n - 1) // 2))
+    parts = np.empty(P), np.empty(P)  # KT and plug-in, as in _label_terms
     for lo, hi in _passes(P, n, m_max):
         hn[lo:hi] = _block_pairs(counts[lo:hi], m_max)
-    ghalf = _log_gamma_tables(n)[0]
+        sizes = counts[lo:hi].astype(np.intp)
+        for part, terms in zip(parts, _label_terms(n)):
+            part[lo:hi] = terms[sizes].sum(axis=1)
     return PartitionTable(
         n=n,
         m_max=m_max,
         codes=codes,
-        nblocks=maxval.astype(np.int64) + 1,
-        counts=counts,
+        nblocks=maxval + 1,
         hn=hn,
         cell_a=cell_a,
-        label_part=(ghalf[counts] - ghalf[0]).sum(axis=1),
+        label_part=parts[0],
+        plug_in_part=parts[1],
         level_start=level_start,
         parent=parent,
         first_leaf=first_leaf,
@@ -350,7 +355,8 @@ def _orbit_weights(table: PartitionTable, k: int) -> tuple[np.ndarray, np.ndarra
     each: the labelings in {1..k}^n that a partition of m blocks stands for."""
     usable = table.nblocks <= k
     log_fact = _log_gamma_tables(k)[1]
-    return usable, log_fact[k] - log_fact[k - table.nblocks[usable]]
+    # k - m in intp: k minus an int8 array raises for k > 127 (NEP 50)
+    return usable, log_fact[k] - log_fact[k - table.nblocks[usable].astype(np.intp)]
 
 
 def iter_labeling_stats(n: int, k: int, edges: np.ndarray):

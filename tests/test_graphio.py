@@ -50,6 +50,7 @@ def test_lf_endings_and_determinism(tmp_path):
         ("3 1\n1 4\n", "line 2"),          # out of range
         ("3 2\n1 2\n", "header"),          # wrong edge count
         ("3 1\n1 x\n", "line 2"),          # non-integer
+        ("3 2\n1 2\n\n2 3\n", "line 3"),   # blank line inside the edge list
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, body, msg):
@@ -67,6 +68,14 @@ def test_labels_round_trip(tmp_path):
     back = read_labels_file(path, k=3)
     assert back == z
     assert path.read_text() == "1\n2\n2\n1\n3\n"
+
+
+def test_labels_errors_name_the_physical_line(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text("1\n\n2\nx\n")
+    with pytest.raises(GraphFormatError, match="line 4") as err:
+        read_labels_file(path)
+    assert err.value.line == 4
 
 
 def test_labels_validation(tmp_path):

@@ -210,8 +210,16 @@ def test_partition_table_label_part(n, m_max):
     from ktsbm.partitions import partition_table
 
     table = partition_table(n, m_max)
-    want = (gammaln(table.counts + 0.5) - gammaln(0.5)).sum(axis=1)
+    counts = (table.codes[..., None] == np.arange(m_max)).sum(axis=1)  # the table keeps no block sizes
+    want = (gammaln(counts + 0.5) - gammaln(0.5)).sum(axis=1)
     assert np.array_equal(table.label_part, want)
+
+
+def test_exact_kt_past_the_int8_range_of_block_counts():
+    # k - m for k > 127 and int8 block counts m; the value of the table
+    # with int64 block counts, frozen like the Monte Carlo values below
+    g = random_graph(np.random.default_rng(7), 5)
+    assert log_kt_marginal_exact(g, 200).log_value == -6.950742892606744
 
 
 def test_estimate_gathers_every_per_partition_term(monkeypatch):

@@ -516,7 +516,7 @@ def test_objective_cells_matches_xlogy_bitwise(n):
 def test_plug_in_gathers_every_per_partition_term(monkeypatch):
     # per-partition work must not slip back to xlogy: once a warm-up call has
     # built the plug-in terms of n, only arrays of at most k entries may reach it
-    from ktsbm import likelihood, verify_prop31
+    from ktsbm import likelihood, partitions, verify_prop31
     from ktsbm.partitions import _cell_grid
 
     k = 4
@@ -529,7 +529,7 @@ def test_plug_in_gathers_every_per_partition_term(monkeypatch):
 
     monkeypatch.setattr(likelihood, "xlogy", counting)
     _cell_grid.cache_clear()
-    likelihood._label_terms.cache_clear()
+    partitions._label_terms.cache_clear()
     profile_label_search(g, k, mode="exact")
     assert max(sizes) > k  # the warm-up built the terms through the patch
     sizes.clear()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from ktsbm import (
     Graph,
@@ -46,7 +47,7 @@ def test_counting_passes_do_not_change_results(monkeypatch):
     def results():
         fresh = partition_table.__wrapped__(10, 4)  # bypass the table cache
         return (
-            fresh.counts,
+            np.stack([fresh.label_part, fresh.plug_in_part]),
             fresh.hn,
             graph_cell_edges(table, g10.edges()),
             labeling_stats(8, 3, g8.edges()),
@@ -131,22 +132,23 @@ def test_flat_cell_edges_equals_a_per_edge_recount(monkeypatch, n, k, every):
 def assert_tables_match_a_recount():
     """Every table field equals a recount of the table's own codes: block
     sizes by comparison with each block, node pairs as the edges of the
-    complete graph by ``recount_cell_edges``, blocks and label part from
-    the block sizes."""
-    ghalf = partitions._log_gamma_tables(10)[0]
-    for n, m_max in [(1, 1), (6, 3), (9, 9), (10, 4)]:
+    complete graph by ``recount_cell_edges``, blocks and both label parts
+    from the block sizes, which the table does not keep.  At n = 17 the
+    table grows its block sizes in uint16."""
+    for n, m_max in [(1, 1), (6, 3), (9, 9), (10, 4), (17, 2)]:
         t = partition_table.__wrapped__(n, m_max)  # bypass the table cache
         counts = (t.codes[..., None] == np.arange(m_max)).sum(axis=1)
         hn = recount_cell_edges(t.codes, m_max, np.argwhere(np.triu(np.ones((n, n)), 1)))
         assert (t.n, t.m_max, t.size) == (n, m_max, partitions.partition_count(n, m_max))
-        assert np.array_equal(t.counts, counts) and np.array_equal(t.hn, hn)
+        assert np.array_equal(t.hn, hn) and not hasattr(t, "counts")
         assert np.array_equal(t.hn, partitions._block_pairs(counts, m_max))
-        assert t.counts.dtype == t.nblocks.dtype == np.int64
+        assert t.nblocks.dtype == np.int8
         assert t.hn.dtype == np.min_scalar_type(n * (n - 1) // 2)
         assert np.array_equal(t.nblocks, t.codes.max(axis=1) + 1)
         assert np.array_equal(t.nblocks, (counts > 0).sum(axis=1))
         assert np.array_equal(t.cell_a, cell_layout(m_max)[0])
-        assert np.array_equal(t.label_part, (ghalf[counts] - ghalf[0]).sum(axis=1))
+        assert np.array_equal(t.label_part, (gammaln(counts + 0.5) - gammaln(0.5)).sum(axis=1))
+        assert np.array_equal(t.plug_in_part, xlogy(counts, counts / n).sum(axis=1))
         # restricted growth: each value is at most one above every earlier one
         assert np.all(t.codes[:, 0] == 0)
         assert np.all(t.codes[:, 1:] <= np.maximum.accumulate(t.codes, axis=1)[:, :-1] + 1)
@@ -272,12 +274,29 @@ def test_one_function_adds_edges_to_cells():
 
 
 def test_exact_estimate_memory_is_bounded():
-    # counting edges down the prefix tree into narrow integers: 94 MiB
-    # traced, table build included, against 189 MiB for int64 counts from
-    # a recount of every edge per partition
+    # counting edges down the prefix tree into narrow integers: 77 MiB
+    # traced, table build included (98 MiB while the table kept its int64
+    # block sizes), against 189 MiB for int64 counts from a recount of
+    # every edge per partition
     g = random_graph(12, 0.45, 5)
     partition_table.cache_clear()
     assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=4)) < 150 << 20
+
+
+def test_exact_estimate_memory_without_block_sizes_is_bounded():
+    # 77.3 MiB traced, table build included, against 98.0 MiB when the
+    # table kept its int64 block sizes and int64 block counts
+    g = random_graph(12, 0.45, 5)
+    partition_table.cache_clear()
+    assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=4)) < 88 << 20
+
+
+def test_table_keeps_no_block_sizes():
+    # 33.2 MiB: codes 8.0, node pairs 6.7, prefix tree 7.1, the two label
+    # parts 10.7 and int8 block counts 0.7; 53.9 MiB with the int64 block
+    # sizes (21.4) and int64 block counts (5.3)
+    t = partition_table(12, 4)
+    assert sum(a.nbytes for a in vars(t).values() if isinstance(a, np.ndarray)) <= 34 << 20
 
 
 def test_exact_estimate_memory_with_many_cells_is_bounded():
