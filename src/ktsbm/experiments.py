@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .kt import gamma_composition_inequality, log_kt_marginal_exact, verify_prop31
-from .sbm import LabelVector, SbmParams, SparseSchedule, enumerate_graphs, realize_sparse, sample_sbm
-from .selection import PenaltySpec, estimate_order, overestimation_bound, parse_kt_method
+from .kt import gamma_composition_inequality, log_kt_exact_batch, verify_prop31_batch
+from .sbm import LabelVector, SbmParams, SparseSchedule, enumerate_graphs, graph_pairs, realize_sparse, sample_sbm
+from .selection import PenaltySpec, estimate_order, overestimation_bound, parse_kt_method, penalty
 from .seeds import _MASK, derive_seed, rng_from_seed
 
 __all__ = [
@@ -281,7 +281,7 @@ def normalization_suite() -> SuiteReport:
             checks.append((f"sum_z K(z), n={n}, k={k}", err <= _NORM_TOL, f"|total-1|={err:.3e}"))
     for k in (1, 2, 3):
         for n in (2, 3, 4):
-            graphs = list(enumerate_graphs(n))
+            graphs, pairs = list(enumerate_graphs(n)), np.concatenate(list(graph_pairs(n)))
             worst = 0.0
             for lab in product(range(1, k + 1), repeat=n):
                 z = LabelVector(lab, k)
@@ -290,7 +290,7 @@ def normalization_suite() -> SuiteReport:
             checks.append(
                 (f"sum_x K(x|z) over all z, n={n}, k={k}", worst <= _NORM_TOL, f"worst |total-1|={worst:.3e}")
             )
-            total = sum(np.exp(log_kt_marginal_exact(g, k).log_value) for g in graphs)
+            total = sum(np.exp(log_kt_exact_batch(n, pairs, [k])[:, 0]).tolist())
             err = abs(total - 1.0)
             checks.append((f"sum_x K(x), n={n}, k={k}", err <= _NORM_TOL, f"|total-1|={err:.3e}"))
     return SuiteReport("normalization", tuple(checks))
@@ -304,23 +304,13 @@ def prop31_suite(n_values=(4, 5), k_values=(1, 2), em_starts: int = 16, seed: in
     ``seed`` have no effect; they are kept so that existing callers run
     unchanged."""
     checks = []
-    for n in n_values:
-        # graph-outer: of the 2**(n(n-1)/2) graphs, one is held at a time
-        worst = [-np.inf] * len(k_values)
-        violations = [0] * len(k_values)
-        for graphs, g in enumerate(enumerate_graphs(n), 1):
-            for i, k in enumerate(k_values):
-                lhs, rhs, holds = verify_prop31(g, k)
-                worst[i] = max(worst[i], lhs - rhs)
-                violations[i] += not holds
-        for i, k in enumerate(k_values):
-            checks.append(
-                (
-                    f"likelihood/KT bound, n={n}, k={k} (certified)",
-                    violations[i] == 0,
-                    f"worst slack {worst[i]:.4f} over {graphs} graphs",
-                )
-            )
+    for n, k in [(n, k) for n in n_values for k in k_values]:
+        worst, bad, graphs = -np.inf, 0, 0
+        for pairs in graph_pairs(n):  # one chunk of graph codes up to n = 7
+            lhs, rhs, holds = verify_prop31_batch(n, pairs, k)
+            worst, bad, graphs = max(worst, (lhs - rhs).max()), bad + np.count_nonzero(~holds), graphs + len(pairs)
+        label = f"likelihood/KT bound, n={n}, k={k} (certified)"
+        checks.append((label, bad == 0, f"worst slack {worst:.4f} over {graphs} graphs"))
     return SuiteReport("prop31", tuple(checks))
 
 
@@ -345,18 +335,17 @@ def gamma_suite(count: int = 1000, seed: int = 0) -> SuiteReport:
 
 def lemma_a2_suite(epsilon: float = 1.0) -> SuiteReport:
     """Exact overestimation probability at n=4 under the one-block p=1/2 law
-    versus the analytic bound."""
+    versus the analytic bound: k_hat of ``estimate_order`` with exact KT and
+    k_max = 3, for all 64 graphs from one batched pass."""
     n, k0, p = 4, 1, 0.5
     spec = PenaltySpec(epsilon)
-    k_max = max(_OVER_KS)
-    weights_total = 0.0
-    prob = {k: 0.0 for k in _OVER_KS}
-    for g in enumerate_graphs(n):
-        w = p**g.edge_count * (1 - p) ** (n * (n - 1) // 2 - g.edge_count)
-        weights_total += w
-        k_hat, _ = estimate_order(g, spec, k_max=k_max)
-        if k_hat in prob:
-            prob[k_hat] += w
+    ks = range(1, max(_OVER_KS) + 1)
+    pairs = np.concatenate(list(graph_pairs(n)))
+    scores = log_kt_exact_batch(n, pairs, ks) - np.array([penalty(k, n, spec) for k in ks])
+    k_hat = np.argmax(scores, axis=1) + 1  # argmax takes the first (smallest k) on ties
+    w = [p**m * (1 - p) ** (n * (n - 1) // 2 - m) for m in pairs.sum(axis=1).tolist()]
+    weights_total = sum(w)
+    prob = {k: sum(wi for wi, kh in zip(w, k_hat.tolist()) if kh == k) for k in _OVER_KS}
     checks = []
     for k in _OVER_KS:
         bound = overestimation_bound(k0, k, n, spec)

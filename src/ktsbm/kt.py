@@ -23,14 +23,14 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .errors import ValidationError, require_int
-from .likelihood import _plug_in_values, _sup_bound
+from .likelihood import _plug_in_values
 from .partitions import (
     _block_pairs,
     _cell_edges,
     _cell_terms,
     _log_gamma_tables,
     _logsumexp,
-    _orbit_weights,
+    _orbit_sum,
     _passes,
     _table_pass,
 )
@@ -42,9 +42,11 @@ __all__ = [
     "log_kt_labels",
     "log_kt_graph_given_labels",
     "log_kt_marginal_exact",
+    "log_kt_exact_batch",
     "log_kt_marginal_mc",
     "prop31_bound",
     "verify_prop31",
+    "verify_prop31_batch",
     "gamma_composition_inequality",
 ]
 
@@ -116,24 +118,30 @@ def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
 def _kt_base(table, ho: np.ndarray, rows: slice) -> np.ndarray:
     """The row term of a ``_table_pass`` for log K_k(x): the k-independent
     part of log K(z) K(x|z), the table's KT label part plus log K(x|partition)."""
-    return table.label_part[rows] + _cell_log_pred(ho, table.hn[rows], table.n).sum(axis=1)
+    cells = _cell_log_pred(ho, table.hn[rows], table.n).sum(axis=-1)
+    return np.add(cells, table.label_part[rows], out=cells)  # in place: a new array per pass can be a fresh mmap
 
 
-def _kt_value(table, base: np.ndarray, k: int) -> KtValue:
-    """Exact log K_k(x) from the ``_kt_base`` values of a table with
-    m_max >= k: the partitions with at most k blocks enter with their orbit
-    weight k!/(k-m)!."""
-    usable, log_mult = _orbit_weights(table, k)
-    body = base[usable] + log_mult + gammaln(k / 2.0) - gammaln(table.n + k / 2.0)
-    return KtValue(log_value=min(_logsumexp(body), 0.0), method="exact", k=k, n=table.n)
+def _kt_value(table, base: np.ndarray, k: int) -> np.ndarray:
+    """Exact log K_k(x) per graph from ``_kt_base`` values (m_max >= k)."""
+    return np.minimum(_orbit_sum(table, base, k, gammaln(k / 2.0), -gammaln(table.n + k / 2.0)), 0.0)
+
+
+def log_kt_exact_batch(n: int, pairs: np.ndarray, ks) -> np.ndarray:
+    """Exact log K_k(x) (G, len(ks)) of each graph on n nodes whose edge bits
+    are a row of ``pairs``, for each k of ``ks``, from one batched pass over
+    the canonical partitions with at most max(ks) blocks."""
+    ks = [require_int("k", k) for k in ks]
+    out = np.empty((len(pairs), len(ks)))
+    for graphs, table, base in _table_pass(n, max(ks), pairs, _kt_base):
+        out[graphs] = np.stack([_kt_value(table, base, k) for k in ks], axis=-1)
+    return out
 
 
 def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
-    """Exact log K_k(x) for every k of ``ks`` from one pass over the
-    canonical partitions with at most max(ks) blocks."""
-    ks = [require_int("k", k) for k in ks]
-    table, base = _table_pass(x.n, max(ks), x.edges(), _kt_base)
-    return [_kt_value(table, base, k) for k in ks]
+    """Exact log K_k(x) for every k of ``ks``: the one-graph batch."""
+    values = log_kt_exact_batch(x.n, x.pairs[None], ks)[0]
+    return [KtValue(log_value=float(v), method="exact", k=k, n=x.n) for k, v in zip(ks, values)]
 
 
 def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
@@ -228,18 +236,24 @@ def prop31_bound(k: int, n: int) -> BoundConstants:
     return BoundConstants(k=k, n=n, c_kn=float(c_kn), slope=slope, rhs=float(slope * np.log(n) + c_kn))
 
 
-def verify_prop31(x: Graph, k: int) -> tuple[float, float, bool]:
-    """Certify sup log-likelihood minus log KT against the uniform bound.
-
-    The sup is replaced by ``likelihood.sup_log_lik_upper_bound`` (the sup
-    itself at k = 1), so a pass is a proof for x.  Both terms come from one
-    table pass, made after the bound's size rule.  Returns (lhs, rhs, holds).
-    """
+def verify_prop31_batch(n: int, pairs: np.ndarray, k: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(lhs (G,), rhs, holds (G,)): sup log-likelihood minus log KT against
+    the uniform bound for each graph on n nodes with edge bits a row of
+    ``pairs``, the sup replaced by ``likelihood.sup_log_lik_upper_bound``
+    (the sup itself at k = 1), so a pass is a proof for that graph.  Both
+    terms come from one batched table pass, after the bound's size rule."""
     k = require_int("k", k)
-    rhs = prop31_bound(k, x.n).rhs
-    table, base, plug_in = _table_pass(x.n, k, x.edges(), _kt_base, _plug_in_values)
-    lhs = _sup_bound(table, plug_in, k) - _kt_value(table, base, k).log_value
-    return float(lhs), rhs, bool(lhs <= rhs + 1e-9)
+    rhs = prop31_bound(k, n).rhs
+    lhs = np.empty(len(pairs))
+    for graphs, table, base, plug_in in _table_pass(n, k, pairs, _kt_base, _plug_in_values):
+        lhs[graphs] = _orbit_sum(table, plug_in, k) - _kt_value(table, base, k)
+    return lhs, rhs, lhs <= rhs + 1e-9
+
+
+def verify_prop31(x: Graph, k: int) -> tuple[float, float, bool]:
+    """``verify_prop31_batch`` for the one graph x: (lhs, rhs, holds)."""
+    lhs, rhs, holds = verify_prop31_batch(x.n, x.pairs[None], k)
+    return float(lhs[0]), rhs, bool(holds[0])
 
 
 def gamma_composition_inequality(parts) -> tuple[float, float, bool]:

@@ -25,7 +25,7 @@ from .partitions import (
     _cell_terms,
     _label_terms,
     _logsumexp,
-    _orbit_weights,
+    _orbit_sum,
     _table_pass,
     cell_layout,
     iter_labeling_stats,
@@ -192,14 +192,8 @@ def _local_profile_search(x: Graph, k: int, restarts: int, seed: int) -> tuple[L
 def _plug_in_values(table, ho: np.ndarray, rows: slice) -> np.ndarray:
     """The plug-in value of the partitions ``rows`` of ``table``, whose
     edges per cell are ``ho``: the row term of a ``_table_pass``."""
-    return table.plug_in_part[rows] + _cell_terms(_plug_in_cell, table.n, table.hn[rows], ho).sum(axis=-1)
-
-
-def _sup_bound(table, values: np.ndarray, k: int) -> float:
-    """``sup_log_lik_upper_bound`` from the ``_plug_in_values`` of a table
-    with m_max = k."""
-    usable, log_mult = _orbit_weights(table, k)
-    return _logsumexp(values[usable] + log_mult)
+    cells = _cell_terms(_plug_in_cell, table.n, table.hn[rows], ho).sum(axis=-1)
+    return np.add(cells, table.plug_in_part[rows], out=cells)  # in place, as in kt._kt_base
 
 
 def profile_label_search(
@@ -220,7 +214,7 @@ def profile_label_search(
     require_int("k", k)
     require_int("restarts", restarts)
     if mode == "exact":
-        table, obj = _table_pass(x.n, k, x.edges(), _plug_in_values)
+        [(_, table, (obj,))] = _table_pass(x.n, k, x.pairs[None], _plug_in_values)
         best = int(np.argmax(obj))
         return LabelVector(table.codes[best] + 1, k), float(obj[best])
     if mode == "local":
@@ -237,7 +231,8 @@ def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
     sum runs over canonical partitions with their orbit weights.
     """
     require_int("k", k)
-    return _sup_bound(*_table_pass(x.n, k, x.edges(), _plug_in_values), k)
+    [(_, table, (values,))] = _table_pass(x.n, k, x.pairs[None], _plug_in_values)
+    return _orbit_sum(table, values, k)
 
 
 def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:

@@ -3,31 +3,30 @@
 Two flavors are provided:
 
 * canonical set partitions (restricted growth strings): one representative
-  per orbit of the label-permutation group, with exact multiplicity weights.
-  Valid whenever the quantity being accumulated is invariant under permuting
-  label values (KT mixtures, profile likelihood).
+  per orbit of the label-permutation group, with exact multiplicity weights,
+  for quantities invariant under permuting label values (KT mixtures,
+  profile likelihood);
 * full mixed-radix enumeration of {0..k-1}^n, in passes, for quantities that
-  depend on the actual label values (marginal likelihood at fixed params,
-  exact EM responsibilities).
+  depend on the label values (marginal likelihood at fixed params, exact EM).
 
 Per-labeling statistics use a condensed cell layout: cells are the pairs
 (a, b) with a <= b in row-major order; ``hn`` is the number of unordered
 node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
 (a, a) holds n_a(n_a-1)/2 pairs.  Node pairs are formed from block sizes in
-one place, ``_block_pairs``, and edges are added to a batch of labelings in
-one place, the node-append step ``_append_edges``.  It runs once per level
-of a partition table's prefix tree in ``graph_cell_edges``, and once per
-node over flat rows of labelings in ``_cell_edges``, always into the
-smallest unsigned dtype that holds n(n-1)/2 and in passes whose
-temporaries stay under the byte budget ``_STATS_BYTES``.
+one place, ``_block_pairs``, and edges are added in one place, the
+node-append step ``_append_edges``, to L labelings of each of G graphs: once
+per level of a table's prefix tree in ``_tree_cell_edges`` (of which
+``graph_cell_edges`` is the one-graph case) and once per node over flat
+rows of labelings of one graph in ``_cell_edges``, into the smallest
+unsigned dtype that holds n(n-1)/2 and in passes under ``_STATS_BYTES``.
 
 Every decision of an exact sum over canonical partitions lives here: the
-table cap, the one loop over a graph's passes of the table (``_table_pass``,
-which evaluates the row terms its callers hand it and returns only their
-values) and the orbit weight k!/(k-m)! (``_orbit_weights``).  So do the one
-logsumexp, the log-Gamma tables, both exact objectives' label terms per
-block size (``_label_terms``) and ``_cell_terms``, which evaluates a cell
-formula of (hn, ho) once per n and gathers every cell's term from it.
+table cap, the one loop over a table's passes for a batch of graphs given as
+edge bits (``_table_pass``, which yields only the values of the row terms
+its callers hand it), the orbit-weighted sum of those values per graph
+(``_orbit_sum``), the row-wise logsumexp, the log-Gamma tables, both exact
+objectives' label terms per block size (``_label_terms``) and
+``_cell_terms``, which gathers every cell's term from a per-n grid.
 """
 
 from __future__ import annotations
@@ -109,24 +108,31 @@ def _cell_terms(formula, n: int, hn: np.ndarray, ho: np.ndarray) -> np.ndarray:
     top = n * (n - 1) // 2
     if (top + 1) ** 2 > 1 << 16:
         return formula(hn, ho, n)
-    # uint16 loops whatever the counts' integer dtype, so no promotion rule applies
-    idx = np.multiply(hn, top + 1, dtype=np.uint16, casting="unsafe")
+    # uint16 loops whatever the counts' integer dtype, so no promotion rule
+    # applies; ho may carry a leading graph axis that hn lacks
+    idx = np.empty(np.broadcast_shapes(hn.shape, ho.shape), dtype=np.uint16)
+    np.multiply(hn, top + 1, out=idx, dtype=np.uint16, casting="unsafe")
     np.add(idx, ho, out=idx, dtype=np.uint16, casting="unsafe")
     return _cell_grid(formula, n).take(idx)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum exp(a) of a 1-d array, in scipy's max-separated form
-    log1p(sum_{a != max} e^{a - max} / m) + log m + max (m maxima), so that
-    values match ``scipy.special.logsumexp`` to the bit."""
-    top = a.max()
-    if not np.isfinite(top):
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.exp(a).sum()))
+def _logsumexp(a: np.ndarray):
+    """log sum exp(a) over the last axis (a float for 1-d a), to the bit of
+    ``scipy.special.logsumexp``: log1p(sum_{a != max} e^{a - max} / m) + log m
+    + max with m maxima, each row summed in the pairwise order of a 1-d sum,
+    which numpy keeps only along C-contiguous rows."""
+    a = np.ascontiguousarray(a)
+    top = a.max(axis=-1, keepdims=True)
     at_top = a == top
-    m = float(np.count_nonzero(at_top))
-    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-    return float(np.log1p(s / m) + np.log(m) + top)
+    m = np.add.reduce(at_top, axis=-1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = a - top
+        x[at_top] = -np.inf
+        s = np.exp(x, out=x).sum(axis=-1)  # in place: a new array per step can be a fresh mmap
+        out = np.log1p(s / m) + np.log(m) + top[..., 0]
+        if not np.isfinite(top).all():  # a row without a finite maximum: the plain sum
+            out = np.where(np.isfinite(top[..., 0]), out, np.log(np.exp(a).sum(axis=-1)))
+    return float(out) if a.ndim == 1 else out
 
 
 def _budget_passes(rows: int, row_bytes: int):
@@ -137,11 +143,11 @@ def _budget_passes(rows: int, row_bytes: int):
         yield lo, min(lo + step, rows)
 
 
-def _passes(rows: int, n: int, k: int):
-    """(lo, hi) row ranges for the per-labeling terms of labelings of n
-    nodes into k blocks.  A row's footprint is its node slots plus up to
-    four live int64 arrays per cell; edge counting budgets its own passes."""
-    return _budget_passes(rows, 8 * (n + 4 * (k * (k + 1) // 2)))
+def _passes(count: int, n: int, k: int, per: int = 1):
+    """(lo, hi) ranges of ``count`` items of ``per`` labelings of n nodes
+    into k blocks each, for per-labeling terms: node slots plus up to four
+    live int64 arrays per cell.  Edge counting budgets its own passes."""
+    return _budget_passes(count, per * 8 * (n + 4 * (k * (k + 1) // 2)))
 
 
 def _block_pairs(counts: np.ndarray, k: int) -> np.ndarray:
@@ -275,47 +281,71 @@ def _append_cells(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(pick[:, None]), _freeze(np.concatenate([cell_b, cell_a])), _freeze(blocks)
 
 
-def _node_columns(edges: np.ndarray) -> dict[int, list[int]]:
-    """{t: [t, its neighbours j < t]} for each node t with such a neighbour."""
+@lru_cache(maxsize=8)
+def _pair_nodes(n: int) -> np.ndarray:
+    """Endpoints i < j of the n(n-1)/2 condensed pairs, read-only (cached):
+    bit i of a graph's edge bits is pair i."""
+    return _freeze(np.column_stack(np.triu_indices(n, 1)))
+
+
+def _node_columns(edges: np.ndarray, bits: np.ndarray | None = None) -> dict:
+    """{t: (cols, has)} for each node t with an earlier neighbour: cols is
+    [t, its neighbours j < t] and has, for a batch of graphs whose edge bits
+    over the rows of ``edges`` are ``bits`` (G, m), the (G, len(cols) - 1)
+    float32 bits of those edges; None for one graph."""
     cols = {}
-    for i, j in edges.tolist():
-        i, j = (i, j) if i < j else (j, i)
-        cols.setdefault(j, [j]).append(i)
-    return cols
+    for e, (i, j) in enumerate(np.sort(edges, axis=1).tolist()):
+        c, w = cols.setdefault(j, ([j], []))
+        c.append(i)
+        w.append(e)
+    return {t: (c, None if bits is None else bits[:, w].astype(np.float32)) for t, (c, w) in cols.items()}
 
 
-def _append_edges(ho: np.ndarray, codes: np.ndarray, leaves: np.ndarray | None, cols: list[int], k: int) -> None:
-    """Add to each row of ``ho`` (L, C) the edges between node t = cols[0]
-    and its earlier neighbours j in cols[1:], one in cell (label(j),
-    label(t)) each.  Row i reads its labels from codes[leaves[i]], or from
-    codes[i] when ``leaves`` is None."""
-    pick, gather, blocks = _append_cells(k)
-    C, dtype = ho.shape[1], ho.dtype
-    # live per row: the codes, then the labels of node t and its
-    # neighbours, their comparison with each block and the counts d;
-    # then the 2C picks, the gathered d and their products
-    row_bytes = codes.shape[1] + (k + 1) * len(cols) + 2 * C + dtype.itemsize * (k + 4 * C)
-    for lo, hi in _budget_passes(ho.shape[0], row_bytes):
+def _append_edges(ho: np.ndarray, codes: np.ndarray, leaves: np.ndarray | None, column: tuple, k: int) -> None:
+    """Add to each row of ``ho`` (G, L, C) the edges between node t = cols[0]
+    and its earlier neighbours j in cols[1:], for ``column`` = (cols, has)
+    of ``_node_columns``: those that graph g has when has[g] is 1, all of
+    them when has is None.  One edge goes in cell (label(j), label(t)).  Row
+    i reads its labels from codes[leaves[i]], or codes[i] if leaves is None."""
+    (cols, has), (pick, gather, blocks) = column, _append_cells(k)
+    pick = pick if has is None else pick[:, None]  # against labels (rows,) or counts (G, rows)
+    (G, L, C), dtype = ho.shape, ho.dtype
+    # live per row: the codes, the labels of node t and its neighbours, their
+    # comparison with each block (and its float32 copy) and per graph the
+    # counts d (float32 first); then the 2C picks, the gathered d, products
+    row_bytes = codes.shape[1] + (k + 1) * len(cols) + 2 * C + G * dtype.itemsize * (k + 4 * C)
+    for lo, hi in _budget_passes(L, row_bytes + (0 if has is None else 4 * k * (len(cols) + G))):
         rows = codes[lo:hi] if leaves is None else np.take(codes, leaves[lo:hi], axis=0)
         labels = rows.T[cols]
-        d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)  # (k, rows)
+        if has is None:  # (k, rows): count each block's neighbours
+            d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)
+        else:  # (k, G, rows), exact in float32 below 2**24
+            d = np.matmul(has, (labels[1:] == blocks).astype(np.float32)).astype(dtype)
         inc = (labels[0] == pick) * d[gather]
-        ho[lo:hi] += (inc[:C] + inc[C:]).T
+        inc = inc[:C] + inc[C:]
+        ho[:, lo:hi] += inc.T if has is None else inc.transpose(1, 2, 0)
 
 
-def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
-    """Edges per condensed cell for every partition: (P, C), in the dtype of
-    ``table.hn``, counted down the table's prefix tree.  Node t joins at
-    level t, so a level-t row's counts are its parent's plus node t's
-    edges to its earlier neighbours: the work of level t grows with its
-    rows times those neighbours, not with P times all edges."""
-    starts, cols = table.level_start.tolist(), _node_columns(edges)
-    ho = np.zeros((1, table.cell_a.size), dtype=table.hn.dtype)
+def _tree_cell_edges(table: PartitionTable, edges: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
+    """Edges per condensed cell (G, P, C) of every partition, in the dtype of
+    ``table.hn``, for a batch of graphs as in ``_node_columns``, counted
+    down the table's prefix tree.  Node t joins at level t, so a level-t
+    row's counts are its parent's plus node t's edges to its earlier
+    neighbours: the work of level t grows with its rows times those
+    neighbours, not with P times all edges."""
+    starts, cols = table.level_start.tolist(), _node_columns(edges, bits)
+    ho = np.zeros((1 if bits is None else len(bits), 1, table.cell_a.size), dtype=table.hn.dtype)
     for t in range(1, table.n):
-        ho = np.take(ho, table.parent[starts[t] : starts[t + 1]], axis=0)
+        ho = np.take(ho, table.parent[starts[t] : starts[t + 1]], axis=1)
         if t in cols:
             _append_edges(ho, table.codes, table.first_leaf[starts[t] : starts[t + 1]], cols[t], table.m_max)
     return ho
+
+
+def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
+    """Edges per condensed cell (P, C) of every partition of the one graph
+    with these edges: the ``_tree_cell_edges`` of a batch of one."""
+    return _tree_cell_edges(table, edges)[0]
 
 
 def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
@@ -323,17 +353,19 @@ def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
     ``codes`` (values 0..k-1), added one node at a time, in the smallest
     unsigned dtype that holds n(n-1)/2."""
     L, n = codes.shape
-    ho = np.zeros((L, k * (k + 1) // 2), dtype=np.min_scalar_type(n * (n - 1) // 2))
-    for cols in _node_columns(edges).values():
-        _append_edges(ho, codes, None, cols, k)
-    return ho
+    ho = np.zeros((1, L, k * (k + 1) // 2), dtype=np.min_scalar_type(n * (n - 1) // 2))
+    for column in _node_columns(edges).values():
+        _append_edges(ho, codes, None, column, k)
+    return ho[0]
 
 
-def _table_pass(n: int, m_max: int, edges: np.ndarray, *terms) -> tuple:
-    """(table, *values): the canonical partitions of n nodes with at most
-    m_max blocks, refused above the cap before they are built, and the (P,)
-    values of each row term ``f(table, ho, rows)``, evaluated on budgeted
-    row slices ``rows`` with ``ho`` the graph's edges per cell in them."""
+def _table_pass(n: int, m_max: int, pairs: np.ndarray, *terms):
+    """Yield (graphs, table, *values) for the graphs on n nodes with edge bits
+    ``pairs`` (G, n(n-1)/2): the canonical partitions of n nodes with at most
+    m_max blocks, refused above the cap before they are built, and for each
+    chunk ``graphs`` of the batch the (g, P) values of each row term
+    ``f(table, ho, rows)`` on row slices ``rows``, ``ho`` their edges per
+    cell (g, rows, C); chunks and slices stay under the byte budget."""
     m_max = min(m_max, n)
     count = partition_count(n, m_max)
     if count > TABLE_CAP:
@@ -342,21 +374,33 @@ def _table_pass(n: int, m_max: int, edges: np.ndarray, *terms) -> tuple:
             f"m_max={m_max}, above the cap {TABLE_CAP}"
         )
     table = partition_table(n, m_max)
-    ho = graph_cell_edges(table, edges)
-    values = [np.empty(table.size) for _ in terms]
-    for lo, hi in _passes(table.size, n, m_max):
-        for out, term in zip(values, terms):
-            out[lo:hi] = term(table, ho[lo:hi], slice(lo, hi))
-    return (table, *values)
+    for glo, ghi in _passes(len(pairs), n, m_max, table.size):
+        used = pairs[glo:ghi].any(axis=0)
+        edges, bits = _pair_nodes(n)[used], pairs[glo:ghi, used]
+        # one graph takes the public one-graph count, which the benchmark's tracer observes
+        ho = graph_cell_edges(table, edges)[None] if len(bits) == 1 else _tree_cell_edges(table, edges, bits)
+        values = [np.empty((len(bits), table.size)) for _ in terms]
+        for lo, hi in _passes(table.size, n, m_max, len(bits)):
+            for out, term in zip(values, terms):
+                out[:, lo:hi] = term(table, ho[:, lo:hi], slice(lo, hi))
+        del ho  # the caller's reductions need only the values
+        yield (slice(glo, ghi), table, *values)
 
 
-def _orbit_weights(table: PartitionTable, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``table`` with at most k blocks, and log k!/(k-m)! for
-    each: the labelings in {1..k}^n that a partition of m blocks stands for."""
-    usable = table.nblocks <= k
-    log_fact = _log_gamma_tables(k)[1]
-    # k - m in intp: k minus an int8 array raises for k > 127 (NEP 50)
-    return usable, log_fact[k] - log_fact[k - table.nblocks[usable].astype(np.intp)]
+def _orbit_sum(table: PartitionTable, values: np.ndarray, k: int, *shifts: float):
+    """log sum over {1..k}^n of e^(value + shifts), per row of ``values``
+    (G, P) or for (P,), for a value that depends only on the partition: a
+    partition of m <= k blocks stands for k!/(k-m)! labelings, a weight taken
+    from log-Gamma values at k + 1 and k - m + 1 only."""
+    log_mult = gammaln(k + 1.0) - gammaln(k - np.arange(min(k, table.m_max) + 1) + 1.0)  # the m that occur
+    if k >= table.m_max:
+        body = values + log_mult.take(table.nblocks)
+    else:  # take keeps each row C-ordered, unlike a mask on the last axis
+        rows = np.flatnonzero(table.nblocks <= k)
+        body = values.take(rows, axis=-1) + log_mult.take(table.nblocks.take(rows))
+    for shift in shifts:
+        body += shift  # in place, as in _logsumexp
+    return _logsumexp(body)
 
 
 def iter_labeling_stats(n: int, k: int, edges: np.ndarray):

@@ -17,12 +17,11 @@ block sizes, and the node pairs and edges of each condensed cell a <= b of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .partitions import _block_pairs, _freeze, cell_layout
+from .partitions import _block_pairs, _budget_passes, _freeze, _pair_nodes, cell_layout
 from .seeds import rng_from_seed
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "sample_sbm",
     "realize_sparse",
     "enumerate_graphs",
+    "graph_pairs",
 ]
 
 _PI_TOL = 1e-12
@@ -169,12 +169,6 @@ class LabelVector:
 
 def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-@lru_cache(maxsize=8)
-def _pair_nodes(n: int) -> np.ndarray:
-    """Endpoints i < j of the n(n-1)/2 condensed pairs, read-only (cached)."""
-    return _freeze(np.column_stack(np.triu_indices(n, 1)))
 
 
 class Graph:
@@ -313,11 +307,20 @@ def realize_sparse(pi, schedule: SparseSchedule, n: int) -> SbmParams:
     return SbmParams(k=schedule.k, pi=np.asarray(pi, dtype=float), P=schedule.rho(n) * schedule.S0)
 
 
-def enumerate_graphs(n: int):
-    """Yield all 2**(n(n-1)/2) graphs on n nodes (small n only)."""
+def graph_pairs(n: int):
+    """Yield the edge bits of all 2**(n(n-1)/2) graphs on n nodes (small n
+    only) as (G, M) bool rows, where bit i of graph c is bit i of c (pair i),
+    in chunks of codes c whose arrays stay under the byte budget."""
     m = _pair_count(n)
     if m > 30:
         raise ValidationError(f"refusing to enumerate 2**{m} graphs")
-    for code in range(1 << m):
-        bits = (code >> np.arange(m)) & 1
-        yield Graph(n, bits.astype(bool))
+    for lo, hi in _budget_passes(1 << m, 4 + m):  # per graph: its uint32 code and its M bits
+        codes = np.arange(lo, hi, dtype="<u4")
+        yield np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little").view(bool)
+
+
+def enumerate_graphs(n: int):
+    """Yield all 2**(n(n-1)/2) graphs on n nodes (small n only), in the
+    order of ``graph_pairs``."""
+    for pairs in graph_pairs(n):
+        yield from (Graph(n, row) for row in pairs)

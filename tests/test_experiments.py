@@ -142,29 +142,47 @@ def test_prop31_suite_is_certified_without_em(monkeypatch):
 
 
 def test_prop31_suite_counts_each_graph_once(monkeypatch):
+    # each of the 64 graphs on 4 nodes is counted exactly once, in one
+    # batched walk down the prefix tree
     from ktsbm import partitions
 
-    calls = []
-    count = partitions.graph_cell_edges
-    monkeypatch.setattr(partitions, "graph_cell_edges", lambda *args: calls.append(1) or count(*args))
+    batches = []
+    walk = partitions._tree_cell_edges
+    monkeypatch.setattr(partitions, "_tree_cell_edges", lambda *args: batches.append(args[1:]) or walk(*args))
     assert prop31_suite(n_values=(4,), k_values=(2,)).ok
-    assert len(calls) == 64  # one table pass per graph of 4 nodes
+    [(edges, bits)] = batches
+    assert np.array_equal(edges, np.argwhere(np.triu(np.ones((4, 4)), 1)))  # pair i is bit i
+    codes = bits.astype(np.int64) @ (1 << np.arange(6))
+    assert sorted(codes.tolist()) == list(range(64))
 
 
-def test_prop31_suite_holds_one_graph_at_a_time():
-    # the 1024 graphs on 5 nodes held at once take about 0.19 MiB traced;
-    # 2**28 of them on 8 nodes would take 46 GiB
+def test_prop31_suite_memory_follows_the_byte_budget(monkeypatch):
+    # under a 64 KiB budget the 32 768 graphs on 6 nodes peak at about
+    # 200 KiB traced, 3.2 times the budget: their edge bits alone take
+    # 480 KiB, and the values of both terms for every graph 512 KiB
     import tracemalloc
 
-    from ktsbm import Graph, verify_prop31
+    from ktsbm import Graph, partitions, verify_prop31
 
-    verify_prop31(Graph.from_edges(5, []), 1)  # build the table and log-Gamma tables first
+    budget = 64 << 10
+    monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
+    verify_prop31(Graph.from_edges(6, []), 1)  # build the table and log-Gamma tables first
     tracemalloc.start()
     try:
-        assert prop31_suite(n_values=(5,), k_values=(1,)).ok
-        assert tracemalloc.get_traced_memory()[1] < 64 << 10
+        assert prop31_suite(n_values=(6,), k_values=(1,)).ok
+        assert tracemalloc.get_traced_memory()[1] < 4 * budget
     finally:
         tracemalloc.stop()
+
+
+def test_prop31_suite_certifies_every_graph_on_6_nodes():
+    # 32 768 graphs in one batched pass per k, about 0.2 s
+    rep = prop31_suite(n_values=(6,), k_values=(1, 2))
+    assert rep.ok
+    assert [d for _, _, d in rep.checks] == [
+        "worst slack -1.6100 over 32768 graphs",
+        "worst slack -7.0095 over 32768 graphs",
+    ]
 
 
 def test_lemma_a2_suite_passes():

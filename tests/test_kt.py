@@ -203,6 +203,15 @@ def test_private_logsumexp_matches_scipy_bitwise():
         v = v.copy()
         v[rng.integers(0, v.size, size=v.size // 7)] = v.max()  # more ties
         assert _logsumexp(v) == logsumexp(v)
+    # row-wise over the last axis, each row to the bit of its 1-d value,
+    # also in Fortran order, where numpy sums rows in another order
+    for width in (1, 3, 16, 300):
+        rows = rng.normal(0.0, 50.0, size=(40, width))
+        rows[::3, 0] = rows[::3].max(axis=1)  # ties
+        rows[1::7] = -np.inf
+        want = [_logsumexp(r) for r in rows]
+        for a in (rows, np.asfortranarray(rows)):
+            assert _logsumexp(a).tolist() == want
 
 
 @pytest.mark.parametrize("n,m_max", [(1, 1), (6, 3), (9, 9)])
@@ -376,6 +385,26 @@ def test_verify_prop31_is_the_sup_bound_minus_log_kt(n):
             want = sup_log_lik_upper_bound(g, k) - log_kt_marginal_exact(g, k).log_value
             lhs, rhs, holds = verify_prop31(g, k)
             assert lhs == want and rhs == prop31_bound(k, n).rhs and holds
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_certificate_equals_one_graph_at_a_time(monkeypatch, k):
+    # all 1024 graphs on 5 nodes in one batch; under a 4 KiB budget the
+    # batch is certified one graph at a time
+    from ktsbm import enumerate_graphs, partitions
+    from ktsbm.kt import log_kt_exact_batch, verify_prop31_batch
+    from ktsbm.sbm import graph_pairs
+
+    pairs = np.concatenate(list(graph_pairs(5)))
+    one = np.array([verify_prop31(g, k) for g in enumerate_graphs(5)])
+    lhs, rhs, holds = verify_prop31_batch(5, pairs, k)
+    kt = log_kt_exact_batch(5, pairs, [k])[:, 0]
+    assert np.allclose(lhs, one[:, 0], rtol=0.0, atol=1e-12)
+    assert rhs == prop31_bound(k, 5).rhs and holds.all() and one[:, 2].all()
+    monkeypatch.setattr(partitions, "_STATS_BYTES", 4 << 10)
+    small = verify_prop31_batch(5, pairs, k)
+    assert np.array_equal(small[0], lhs) and small[1] == rhs and np.array_equal(small[2], holds)
+    assert np.array_equal(log_kt_exact_batch(5, pairs, [k])[:, 0], kt)
 
 
 # --------------------------------------------------- Gamma composition

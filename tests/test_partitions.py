@@ -96,6 +96,23 @@ def test_graph_cell_edges_equals_a_per_edge_recount(monkeypatch, n, m_max):
             assert ho.dtype == table.hn.dtype and np.array_equal(ho, w)
 
 
+@pytest.mark.parametrize("n, m_max", [(4, 2), (4, 3), (5, 2), (5, 3)])
+def test_batched_walk_equals_one_graph_at_a_time(monkeypatch, n, m_max):
+    # every graph on n nodes as one batch over all pairs, and a batch of
+    # the graphs without pair 0 over the other pairs
+    from ktsbm.sbm import graph_pairs
+
+    table = partition_table(n, m_max)
+    pairs = np.concatenate(list(graph_pairs(n)))
+    nodes = partitions._pair_nodes(n)
+    want = np.stack([graph_cell_edges(table, nodes[row]) for row in pairs])
+    for budget in (partitions._STATS_BYTES, 4 << 10):
+        monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
+        ho = partitions._tree_cell_edges(table, nodes, pairs)
+        assert ho.dtype == table.hn.dtype and np.array_equal(ho, want)
+        assert np.array_equal(partitions._tree_cell_edges(table, nodes[1:], pairs[::2, 1:]), want[::2])
+
+
 @pytest.mark.parametrize("n, dtype", [(23, np.uint8), (30, np.uint16)])
 def test_graph_cell_edges_at_the_dtype_boundary(n, dtype):
     # the complete graph in one block: 253 edges fit uint8, 435 need uint16
@@ -180,6 +197,19 @@ def test_mc_memory_is_bounded_by_the_byte_budget():
     _, g = sample_sbm(params, 50, 5)
     assert g.edge_count > 550
     assert _traced_peak(lambda: log_kt_marginal_mc(g, 3, 20_000, 1)) < 160 * 2**20
+
+
+def test_orbit_weights_need_no_table_of_k_entries():
+    # log k!/(k-m)! for the block counts m that occur: 30.5 MiB traced at
+    # k = 10**6 with a (k + 1)-entry log-factorial table
+    g = random_graph(5, 0.5, 6)
+    log_kt_marginal_exact(g, 3)  # build the table first
+    assert _traced_peak(lambda: log_kt_marginal_exact(g, 10**6)) < 1 << 20
+    t = partition_table(5, 5)
+    for k in (1, 3, 5, 1000):  # the same floats as that table
+        log_fact = gammaln(np.arange(k + 1.0) + 1.0)
+        log_mult = log_fact[k] - log_fact[k - t.nblocks[t.nblocks <= k].astype(int)]
+        assert partitions._orbit_sum(t, np.zeros((2, t.size)), k).tolist() == [partitions._logsumexp(log_mult)] * 2
 
 
 def _refused(call):

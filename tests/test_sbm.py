@@ -175,6 +175,26 @@ def test_enumerate_graphs():
     assert len({tuple(g.pairs.tolist()) for g in graphs}) == 8
 
 
+@pytest.mark.parametrize("budget", [None, 4 << 10])
+def test_graph_pairs_are_the_bits_of_each_code(monkeypatch, budget):
+    # bit i of graph c's row is bit i of c, in chunks of codes: one chunk
+    # at n = 6 under the default budget, 153 under 4 KiB
+    from ktsbm import partitions
+    from ktsbm.sbm import graph_pairs
+
+    if budget:
+        monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
+    for n in (1, 2, 4, 6):
+        m = n * (n - 1) // 2
+        chunks = list(graph_pairs(n))
+        assert len(chunks) == (153 if budget and n == 6 else 1)
+        want = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+        assert np.array_equal(np.concatenate(chunks), want)
+    assert [g.pairs.tolist() for g in enumerate_graphs(6)] == want.tolist()
+    with pytest.raises(ValidationError, match="refusing"):
+        next(graph_pairs(9))
+
+
 def test_seed_mixing_is_stable():
     # frozen values guard against accidental changes to the derivation
     assert mix64(0) == 16294208416658607535
