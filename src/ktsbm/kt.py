@@ -80,6 +80,7 @@ class KtValue:
 def log_kt_labels(z: LabelVector, k: int) -> float:
     """log K(z) for the Dirichlet(1/2) label process:
     Gamma(k/2)/Gamma(1/2)^k * prod_a Gamma(n_a + 1/2) / Gamma(n + k/2)."""
+    k = require_int("k", k)
     if z.labels.size and z.labels.max() > k:
         raise ValidationError(f"labels exceed k={k}")
     n = len(z)
@@ -93,32 +94,27 @@ def log_kt_labels(z: LabelVector, k: int) -> float:
 
 
 def _beta_log_pred(hn: np.ndarray, ho: np.ndarray, n: int) -> np.ndarray:
-    """The cell formula of ``_cell_log_pred``, from the log-Gamma tables."""
-    ghalf, gone = _log_gamma_tables(n * (n - 1) // 2)
-    return ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
-
-
-def _cell_log_pred(ho: np.ndarray, hn: np.ndarray, n: int) -> np.ndarray:
-    """Beta(1/2,1/2) predictive log-probability per condensed cell of a
-    graph on n nodes, gathered by ``partitions._cell_terms``.
+    """Beta(1/2,1/2) predictive log-probability per condensed cell of a graph
+    on n nodes, from the log-Gamma tables, for ``partitions._cell_terms``.
 
     For a cell with hn node pairs and ho edges the integral is
     Gamma(ho+1/2) Gamma(hn-ho+1/2) / (pi * Gamma(hn+1)); an empty cell
     gives 2 lgamma(1/2) - lgamma(1) - log pi, exactly 0.
     """
-    return _cell_terms(_beta_log_pred, n, hn, ho)
+    ghalf, gone = _log_gamma_tables(n * (n - 1) // 2)
+    return ghalf[ho] + ghalf[hn - ho] - gone[hn] - _LOG_PI
 
 
 def log_kt_graph_given_labels(z: LabelVector, x: Graph, k: int) -> float:
     """log K(x|z): product over cells a <= b of the Beta(1/2,1/2) predictive."""
     _, hn, ho = cell_stats(z, x, k)
-    return float(_cell_log_pred(ho, hn, x.n).sum())
+    return float(_cell_terms(_beta_log_pred, x.n, hn, ho).sum())
 
 
 def _kt_base(table, ho: np.ndarray, rows: slice) -> np.ndarray:
     """The row term of a ``_table_pass`` for log K_k(x): the k-independent
     part of log K(z) K(x|z), the table's KT label part plus log K(x|partition)."""
-    cells = _cell_log_pred(ho, table.hn[rows], table.n).sum(axis=-1)
+    cells = _cell_terms(_beta_log_pred, table.n, table.hn[rows], ho).sum(axis=-1)
     return np.add(cells, table.label_part[rows], out=cells)  # in place: a new array per pass can be a fresh mmap
 
 
@@ -132,6 +128,8 @@ def log_kt_exact_batch(n: int, pairs: np.ndarray, ks) -> np.ndarray:
     are a row of ``pairs``, for each k of ``ks``, from one batched pass over
     the canonical partitions with at most max(ks) blocks."""
     ks = [require_int("k", k) for k in ks]
+    if not ks:
+        raise ValidationError("ks must name at least one k")
     out = np.empty((len(pairs), len(ks)))
     for graphs, table, base in _table_pass(n, max(ks), pairs, _kt_base):
         out[graphs] = np.stack([_kt_value(table, base, k) for k in ks], axis=-1)
@@ -189,7 +187,7 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
         ho = _cell_edges(labels, k, edges)
         L = np.empty(size)
         for lo, hi in _passes(size, n, k):
-            L[lo:hi] = _cell_log_pred(ho[lo:hi], _block_pairs(counts[lo:hi], k), n).sum(axis=1)
+            L[lo:hi] = _cell_terms(_beta_log_pred, n, _block_pairs(counts[lo:hi], k), ho[lo:hi]).sum(axis=1)
         log_l1.append(_logsumexp(L))
         log_l2.append(_logsumexp(2.0 * L))
         done += size

@@ -15,9 +15,8 @@ node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
 (a, a) holds n_a(n_a-1)/2 pairs.  Node pairs are formed from block sizes in
 one place, ``_block_pairs``, and edges are added in one place, the
 node-append step ``_append_edges``, to L labelings of each of G graphs: once
-per level of a table's prefix tree in ``_tree_cell_edges`` (of which
-``graph_cell_edges`` is the one-graph case) and once per node over flat
-rows of labelings of one graph in ``_cell_edges``, into the smallest
+per level of a table's prefix tree in ``graph_cell_edges`` and once per node
+over flat rows of one graph's labelings in ``_cell_edges``, into the smallest
 unsigned dtype that holds n(n-1)/2 and in passes under ``_STATS_BYTES``.
 
 Every decision of an exact sum over canonical partitions lives here: the
@@ -37,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import InfeasibleSizeError
+from .errors import InfeasibleSizeError, ValidationError, require_int
 
 __all__ = [
     "PartitionTable",
@@ -273,12 +272,12 @@ def _append_cells(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d[b] earlier neighbours in block b adds to the condensed cells of k
     blocks: cell c = (a, b) gains [l = pick[i]] d[gather[i]] summed over
     i = c and i = C + c.  pick is -1 in the second half of a diagonal cell,
-    which counts its edges once; blocks is 0..k-1, shaped to compare with
-    (neighbours, rows) labels.  Cached per k, so the arrays are read-only."""
+    which counts its edges once; pick and blocks (0..k-1) are shaped to compare
+    with (rows,) and (neighbours, rows) labels.  Cached per k, so read-only."""
     cell_a, cell_b, _ = cell_layout(k)
     pick = np.concatenate([cell_a, np.where(cell_a == cell_b, -1, cell_b)]).astype(np.int8)
     blocks = np.arange(k, dtype=np.int8)[:, None, None]
-    return _freeze(pick[:, None]), _freeze(np.concatenate([cell_b, cell_a])), _freeze(blocks)
+    return _freeze(pick[:, None, None]), _freeze(np.concatenate([cell_b, cell_a])), _freeze(blocks)
 
 
 @lru_cache(maxsize=8)
@@ -288,64 +287,57 @@ def _pair_nodes(n: int) -> np.ndarray:
     return _freeze(np.column_stack(np.triu_indices(n, 1)))
 
 
-def _node_columns(edges: np.ndarray, bits: np.ndarray | None = None) -> dict:
+def _node_columns(edges: np.ndarray, bits: np.ndarray) -> dict:
     """{t: (cols, has)} for each node t with an earlier neighbour: cols is
-    [t, its neighbours j < t] and has, for a batch of graphs whose edge bits
-    over the rows of ``edges`` are ``bits`` (G, m), the (G, len(cols) - 1)
-    float32 bits of those edges; None for one graph."""
+    [t, its neighbours j < t] and has the (G, len(cols) - 1) float32 bits of
+    those edges in the graphs whose edge bits over the rows of ``edges`` are
+    ``bits`` (G, m), a row of ones for one graph with all of them."""
     cols = {}
     for e, (i, j) in enumerate(np.sort(edges, axis=1).tolist()):
         c, w = cols.setdefault(j, ([j], []))
         c.append(i)
         w.append(e)
-    return {t: (c, None if bits is None else bits[:, w].astype(np.float32)) for t, (c, w) in cols.items()}
+    return {t: (c, bits[:, w].astype(np.float32)) for t, (c, w) in cols.items()}
 
 
 def _append_edges(ho: np.ndarray, codes: np.ndarray, leaves: np.ndarray | None, column: tuple, k: int) -> None:
-    """Add to each row of ``ho`` (G, L, C) the edges between node t = cols[0]
-    and its earlier neighbours j in cols[1:], for ``column`` = (cols, has)
-    of ``_node_columns``: those that graph g has when has[g] is 1, all of
-    them when has is None.  One edge goes in cell (label(j), label(t)).  Row
-    i reads its labels from codes[leaves[i]], or codes[i] if leaves is None."""
+    """Add to each row of ``ho`` (G, L, C) the edges that graph g has (has[g]
+    = 1) between node t = cols[0] and its earlier neighbours j in cols[1:],
+    for ``column`` = (cols, has) of ``_node_columns``, each in cell (label(j),
+    label(t)); row i reads its labels from codes[leaves[i]], or codes[i]."""
     (cols, has), (pick, gather, blocks) = column, _append_cells(k)
-    pick = pick if has is None else pick[:, None]  # against labels (rows,) or counts (G, rows)
     (G, L, C), dtype = ho.shape, ho.dtype
+    every = has.all()  # every graph has every edge: one count serves them all
     # live per row: the codes, the labels of node t and its neighbours, their
     # comparison with each block (and its float32 copy) and per graph the
     # counts d (float32 first); then the 2C picks, the gathered d, products
     row_bytes = codes.shape[1] + (k + 1) * len(cols) + 2 * C + G * dtype.itemsize * (k + 4 * C)
-    for lo, hi in _budget_passes(L, row_bytes + (0 if has is None else 4 * k * (len(cols) + G))):
+    for lo, hi in _budget_passes(L, row_bytes + (0 if every else 4 * k * (len(cols) + G))):
         rows = codes[lo:hi] if leaves is None else np.take(codes, leaves[lo:hi], axis=0)
         labels = rows.T[cols]
-        if has is None:  # (k, rows): count each block's neighbours
-            d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)
+        if every:  # (k, 1, rows): count each block's neighbours
+            d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)[:, None]
         else:  # (k, G, rows), exact in float32 below 2**24
             d = np.matmul(has, (labels[1:] == blocks).astype(np.float32)).astype(dtype)
         inc = (labels[0] == pick) * d[gather]
         inc = inc[:C] + inc[C:]
-        ho[:, lo:hi] += inc.T if has is None else inc.transpose(1, 2, 0)
+        ho[:, lo:hi] += inc.transpose(1, 2, 0)
 
 
-def _tree_cell_edges(table: PartitionTable, edges: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
+def graph_cell_edges(table: PartitionTable, edges: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
     """Edges per condensed cell (G, P, C) of every partition, in the dtype of
-    ``table.hn``, for a batch of graphs as in ``_node_columns``, counted
-    down the table's prefix tree.  Node t joins at level t, so a level-t
-    row's counts are its parent's plus node t's edges to its earlier
-    neighbours: the work of level t grows with its rows times those
-    neighbours, not with P times all edges."""
+    ``table.hn``, for graphs with edge bits as in ``_node_columns`` (one graph
+    with all ``edges`` by default), counted down the table's prefix tree: a
+    level-t row adds node t's edges to its earlier neighbours to its parent's
+    counts, so work grows with the level's rows, not with P times all edges."""
+    bits = np.ones((1, len(edges)), dtype=bool) if bits is None else bits
     starts, cols = table.level_start.tolist(), _node_columns(edges, bits)
-    ho = np.zeros((1 if bits is None else len(bits), 1, table.cell_a.size), dtype=table.hn.dtype)
+    ho = np.zeros((len(bits), 1, table.cell_a.size), dtype=table.hn.dtype)
     for t in range(1, table.n):
         ho = np.take(ho, table.parent[starts[t] : starts[t + 1]], axis=1)
         if t in cols:
             _append_edges(ho, table.codes, table.first_leaf[starts[t] : starts[t + 1]], cols[t], table.m_max)
     return ho
-
-
-def graph_cell_edges(table: PartitionTable, edges: np.ndarray) -> np.ndarray:
-    """Edges per condensed cell (P, C) of every partition of the one graph
-    with these edges: the ``_tree_cell_edges`` of a batch of one."""
-    return _tree_cell_edges(table, edges)[0]
 
 
 def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
@@ -354,7 +346,7 @@ def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
     unsigned dtype that holds n(n-1)/2."""
     L, n = codes.shape
     ho = np.zeros((1, L, k * (k + 1) // 2), dtype=np.min_scalar_type(n * (n - 1) // 2))
-    for column in _node_columns(edges).values():
+    for column in _node_columns(edges, np.ones((1, len(edges)), dtype=bool)).values():
         _append_edges(ho, codes, None, column, k)
     return ho[0]
 
@@ -366,6 +358,12 @@ def _table_pass(n: int, m_max: int, pairs: np.ndarray, *terms):
     chunk ``graphs`` of the batch the (g, P) values of each row term
     ``f(table, ho, rows)`` on row slices ``rows``, ``ho`` their edges per
     cell (g, rows, C); chunks and slices stay under the byte budget."""
+    n, pairs = require_int("n", n), np.asarray(pairs)
+    if pairs.dtype != bool or pairs.ndim != 2 or pairs.shape[1] != n * (n - 1) // 2:
+        raise ValidationError(
+            f"edge bits must be a 2-d bool array of n(n-1)/2 = {n * (n - 1) // 2} columns, "
+            f"got {pairs.dtype} of shape {pairs.shape}"
+        )
     m_max = min(m_max, n)
     count = partition_count(n, m_max)
     if count > TABLE_CAP:
@@ -377,8 +375,7 @@ def _table_pass(n: int, m_max: int, pairs: np.ndarray, *terms):
     for glo, ghi in _passes(len(pairs), n, m_max, table.size):
         used = pairs[glo:ghi].any(axis=0)
         edges, bits = _pair_nodes(n)[used], pairs[glo:ghi, used]
-        # one graph takes the public one-graph count, which the benchmark's tracer observes
-        ho = graph_cell_edges(table, edges)[None] if len(bits) == 1 else _tree_cell_edges(table, edges, bits)
+        ho = graph_cell_edges(table, edges, bits)
         values = [np.empty((len(bits), table.size)) for _ in terms]
         for lo, hi in _passes(table.size, n, m_max, len(bits)):
             for out, term in zip(values, terms):

@@ -203,8 +203,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from an iterable of 0-based node pairs (i, j), i != j."""
+        n = require_int("n", n)
         pairs = np.zeros(_pair_count(n), dtype=bool)
-        g = cls(n, pairs)
         edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
         if edges.size:
             i = np.minimum(edges[:, 0], edges[:, 1])
@@ -263,6 +263,7 @@ def cell_stats(z: LabelVector, x: Graph, k: int) -> tuple[np.ndarray, np.ndarray
     """Block sizes (k,), node pairs (C,) and edges (C,) of (z, x) for a
     k-block model, C = k(k+1)/2 cells a <= b in ``partitions.cell_layout(k)``
     order; checked against the graph size and k."""
+    k = require_int("k", k)
     if len(z) != x.n:
         raise ValidationError(f"labeling has length {len(z)} but graph has {x.n} nodes")
     if z.k > k or (len(z) and z.labels.max() > k):

@@ -147,8 +147,8 @@ def test_prop31_suite_counts_each_graph_once(monkeypatch):
     from ktsbm import partitions
 
     batches = []
-    walk = partitions._tree_cell_edges
-    monkeypatch.setattr(partitions, "_tree_cell_edges", lambda *args: batches.append(args[1:]) or walk(*args))
+    walk = partitions.graph_cell_edges
+    monkeypatch.setattr(partitions, "graph_cell_edges", lambda *args: batches.append(args[1:]) or walk(*args))
     assert prop31_suite(n_values=(4,), k_values=(2,)).ok
     [(edges, bits)] = batches
     assert np.array_equal(edges, np.argwhere(np.triu(np.ones((4, 4)), 1)))  # pair i is bit i

@@ -152,7 +152,7 @@ def test_label_ratio_bound():
 
 def test_cell_ratio_bound():
     # per-cell: sup P(cell) / K(cell) <= Gamma(1/2) Gamma(hn+1) / Gamma(hn+1/2)
-    from ktsbm.kt import _cell_log_pred
+    from ktsbm.kt import _beta_log_pred, _cell_terms
 
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -162,7 +162,7 @@ def test_cell_ratio_bound():
         sup_log = (ho * math.log(p) if ho else 0.0) + (
             (hn - ho) * math.log(1 - p) if hn - ho else 0.0
         )
-        ratio = sup_log - float(_cell_log_pred(np.array([ho]), np.array([hn]), 10)[0])
+        ratio = sup_log - float(_cell_terms(_beta_log_pred, 10, np.array([hn]), np.array([ho]))[0])
         bound = gammaln(0.5) + gammaln(hn + 1.0) - gammaln(hn + 0.5)
         assert ratio <= bound + 1e-9
 
@@ -174,7 +174,7 @@ def test_cell_ratio_bound():
 def test_cell_log_pred_matches_gammaln_bitwise(n):
     # n <= 23 gathers from the (hn, ho) grid, n >= 24 runs the formula; the
     # table hands in uint8 or uint16 counts and cell_stats int64
-    from ktsbm.kt import _LOG_PI, _cell_log_pred
+    from ktsbm.kt import _LOG_PI, _beta_log_pred, _cell_terms
 
     top = n * (n - 1) // 2
     hn, ho = np.tril_indices(top + 1)  # every 0 <= ho <= hn <= top
@@ -182,7 +182,7 @@ def test_cell_log_pred_matches_gammaln_bitwise(n):
     want = np.where(hn > 0, direct, 0.0)
     for dtype in (np.uint8, np.uint16, np.int64):
         if top <= np.iinfo(dtype).max:
-            got = _cell_log_pred(ho.astype(dtype), hn.astype(dtype), n)
+            got = _cell_terms(_beta_log_pred, n, hn.astype(dtype), ho.astype(dtype))
             assert np.array_equal(got, want)
 
 
@@ -405,6 +405,34 @@ def test_batched_certificate_equals_one_graph_at_a_time(monkeypatch, k):
     small = verify_prop31_batch(5, pairs, k)
     assert np.array_equal(small[0], lhs) and small[1] == rhs and np.array_equal(small[2], holds)
     assert np.array_equal(log_kt_exact_batch(5, pairs, [k])[:, 0], kt)
+
+
+@pytest.mark.parametrize(
+    "n, pairs, match",
+    [
+        # one graph's bits as a 1-d row were taken for one graph per bit
+        (4, np.zeros(6, bool), "2-d bool array"),
+        (4, np.zeros((3, 5), bool), r"n\(n-1\)/2 = 6 columns"),
+        # a 2 would count its edge once where every graph has it and twice
+        # in the per-graph product
+        (4, np.full((3, 6), 2), "got int"),
+        (4.5, np.zeros((3, 6), bool), "n must be an integer"),
+    ],
+    ids=["one-row", "width", "int-bits", "float-n"],
+)
+def test_edge_bit_batch_is_checked_where_it_enters(n, pairs, match):
+    from ktsbm.kt import log_kt_exact_batch, verify_prop31_batch
+
+    for call in (lambda: log_kt_exact_batch(n, pairs, [2]), lambda: verify_prop31_batch(n, pairs, 2)):
+        with pytest.raises(ValidationError, match=match):
+            call()
+
+
+def test_exact_batch_needs_a_k():
+    from ktsbm.kt import log_kt_exact_batch
+
+    with pytest.raises(ValidationError, match="at least one k"):
+        log_kt_exact_batch(4, np.zeros((3, 6), bool), [])
 
 
 # --------------------------------------------------- Gamma composition

@@ -92,7 +92,7 @@ def test_graph_cell_edges_equals_a_per_edge_recount(monkeypatch, n, m_max):
     for budget in (partitions._STATS_BYTES, 4 << 10):
         monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
         for g, w in zip(graphs, want):
-            ho = graph_cell_edges(table, g.edges())
+            [ho] = graph_cell_edges(table, g.edges())
             assert ho.dtype == table.hn.dtype and np.array_equal(ho, w)
 
 
@@ -105,19 +105,44 @@ def test_batched_walk_equals_one_graph_at_a_time(monkeypatch, n, m_max):
     table = partition_table(n, m_max)
     pairs = np.concatenate(list(graph_pairs(n)))
     nodes = partitions._pair_nodes(n)
-    want = np.stack([graph_cell_edges(table, nodes[row]) for row in pairs])
+    want = np.concatenate([graph_cell_edges(table, nodes[row]) for row in pairs])
     for budget in (partitions._STATS_BYTES, 4 << 10):
         monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
-        ho = partitions._tree_cell_edges(table, nodes, pairs)
+        ho = graph_cell_edges(table, nodes, pairs)
         assert ho.dtype == table.hn.dtype and np.array_equal(ho, want)
-        assert np.array_equal(partitions._tree_cell_edges(table, nodes[1:], pairs[::2, 1:]), want[::2])
+        assert np.array_equal(graph_cell_edges(table, nodes[1:], pairs[::2, 1:]), want[::2])
+
+
+@pytest.mark.parametrize("n, m_max", [(5, 3), (9, 4)])
+def test_one_graph_counts_only_the_edges_its_bits_name(n, m_max):
+    # a bit row with zeros takes the per-graph product, not the count of
+    # every edge; it equals a recount of the edges that the row has
+    table = partition_table(n, m_max)
+    nodes = partitions._pair_nodes(n)
+    bits = np.arange(len(nodes)) % 3 != 1
+    [ho] = graph_cell_edges(table, nodes, bits[None])
+    assert ho.dtype == table.hn.dtype
+    assert np.array_equal(ho, recount_cell_edges(table.codes, m_max, nodes[bits]))
+
+
+def test_edges_every_graph_has_are_counted_once_for_the_batch():
+    # every graph of the batch has edge 0, node 1's one column, so it takes
+    # the one count broadcast over the graphs; graph 0 has every edge, but
+    # the others' columns must still take the per-graph product
+    n, m_max = 6, 3
+    table = partition_table(n, m_max)
+    nodes = partitions._pair_nodes(n)
+    bits = np.random.default_rng(4).random((5, len(nodes))) < 0.5
+    bits[:, 0] = bits[0] = True
+    want = np.concatenate([graph_cell_edges(table, nodes[row]) for row in bits])
+    assert np.array_equal(graph_cell_edges(table, nodes, bits), want)
 
 
 @pytest.mark.parametrize("n, dtype", [(23, np.uint8), (30, np.uint16)])
 def test_graph_cell_edges_at_the_dtype_boundary(n, dtype):
     # the complete graph in one block: 253 edges fit uint8, 435 need uint16
     table = partition_table(n, 1)
-    ho = graph_cell_edges(table, Graph(n, np.ones(n * (n - 1) // 2, bool)).edges())
+    [ho] = graph_cell_edges(table, Graph(n, np.ones(n * (n - 1) // 2, bool)).edges())
     assert table.hn.dtype == ho.dtype == dtype
     assert ho.tolist() == table.hn.tolist() == [[n * (n - 1) // 2]]
 
@@ -265,7 +290,7 @@ def test_largest_table_under_the_cap():
 
 
 def test_partitions_alone_makes_enumeration_decisions():
-    owned = {"TABLE_CAP", "partition_count", "require_partitions", "graph_cell_edges"}
+    owned = {"TABLE_CAP", "partition_count", "graph_cell_edges"}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "partitions.py":
             continue

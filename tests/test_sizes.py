@@ -10,8 +10,11 @@ from ktsbm import (
     SbmParams,
     SparseSchedule,
     ValidationError,
+    cell_stats,
     estimate_order,
     fit_marginal_ml,
+    log_kt_graph_given_labels,
+    log_kt_labels,
     log_kt_marginal_exact,
     log_kt_marginal_mc,
     penalty,
@@ -44,6 +47,10 @@ SIZE_ARGUMENTS = {
     "SbmParams.k": lambda v: SbmParams(k=v, pi=[1.0], P=[[0.5]]),
     "LabelVector.k": lambda v: LabelVector([1], v),
     "Graph.n": lambda v: Graph(v, np.zeros(0, dtype=bool)),
+    "Graph.from_edges.n": lambda v: Graph.from_edges(v, []),
+    "cell_stats.k": lambda v: cell_stats(LabelVector([1, 1, 1, 1], 1), G, v),
+    "log_kt_graph_given_labels.k": lambda v: log_kt_graph_given_labels(LabelVector([1, 1, 1, 1], 1), G, v),
+    "log_kt_labels.k": lambda v: log_kt_labels(LabelVector([], 1), v),
     "sample_sbm.n": lambda v: sample_sbm(PARAMS, v, 0),
     "SparseSchedule.rho.n": lambda v: SparseSchedule(S0=[[0.5]], c=1.0, alpha=0.0).rho(v),
     "penalty.k": lambda v: penalty(v, 10, SPEC),
@@ -59,3 +66,10 @@ SIZE_ARGUMENTS = {
 def test_size_arguments_reject_non_integers(name, value):
     with pytest.raises(ValidationError, match="must be an integer >= "):
         SIZE_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("name", ["cell_stats.k", "log_kt_graph_given_labels.k", "log_kt_labels.k"])
+def test_per_labeling_block_counts_reject_zero(name):
+    # k = 0 gave log K(z) = NaN for the empty labeling
+    with pytest.raises(ValidationError, match="k must be an integer >= 1"):
+        SIZE_ARGUMENTS[name](0)
