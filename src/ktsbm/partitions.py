@@ -30,6 +30,8 @@ objectives' label terms per block size (``_label_terms``) and
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +54,14 @@ __all__ = [
 _STATS_BYTES = 64 << 20
 # Largest canonical-partition table that any exact computation builds.
 TABLE_CAP = 2_000_000
+
+# glibc's dynamic malloc thresholds hand a pass's temporaries back to the
+# kernel after the pass, to be faulted in again at a cost set by the machine's
+# free (huge) pages; fixed ones keep them in the heap for the next pass.
+if sys.platform == "linux" and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
+    _libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _libc.mallopt(-3, _STATS_BYTES // 2)  # M_MMAP_THRESHOLD, at the ceiling of glibc's dynamic one
+    _libc.mallopt(-1, _STATS_BYTES)  # M_TRIM_THRESHOLD
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import platform
 import tracemalloc
 from pathlib import Path
 
@@ -361,6 +362,22 @@ def test_exact_estimate_memory_with_many_cells_is_bounded():
     partition_table.cache_clear()
     assert _traced_peak(lambda: estimate_order(g, PenaltySpec(1.0), k_max=11)) < 320 << 20
     partition_table.cache_clear()  # no later test needs this 123 MiB table
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_repeated_exact_estimate_faults_in_no_fresh_memory():
+    # with glibc's dynamic thresholds each repeat faulted in 1 800-1 900 pages
+    # (n=10, k_max=4) and 3 870 at (12, 4), handed back after every pass
+    import resource  # POSIX only, like glibc
+
+    g = random_graph(10, 0.5, 0)
+    estimate_order(g, PenaltySpec(1.0), k_max=4)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate_order(g, PenaltySpec(1.0), k_max=4)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) < 256, faults
 
 
 def test_cell_layout_is_shared_and_read_only():
