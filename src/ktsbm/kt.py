@@ -52,9 +52,10 @@ __all__ = [
 
 _LG_HALF = gammaln(0.5)  # log Gamma(1/2) = log sqrt(pi)
 _LOG_PI = 2.0 * _LG_HALF
-# Monte Carlo labels are drawn in blocks of this many samples.  The block
-# fixes how a seed's stream is consumed, so changing it changes every
-# estimate; memory is bounded by the counting passes inside a block instead.
+# Monte Carlo labels are drawn in blocks of this many samples, node by node
+# over block-length columns.  The block fixes how a seed's stream is
+# consumed, so changing it changes every estimate; the edges and cell terms
+# are counted in budgeted passes inside a block.
 _MC_BLOCK = 1 << 19
 
 
@@ -150,18 +151,28 @@ def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
 
 def _polya_urn_labels(rng, n: int, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact draws from K(z), the sequential Polya urn of the Dirichlet(1/2,
-    ..., 1/2)-multinomial: labels (size, n) int8, block sizes (size, k) int64."""
-    labels = np.empty((size, n), dtype=np.int8)
-    counts = np.zeros((size, k), dtype=np.int64)
-    rows = np.arange(size)
+    ..., 1/2)-multinomial: labels (size, n) int8 and block sizes (size, k) in
+    the smallest unsigned dtype that holds n(n-1), transposed views of
+    node-major and block-major arrays.  Node t draws u and takes the number
+    of blocks a < k - 1 whose cumulative probability, summed one column at a
+    time left to right as ``np.cumsum`` does, is below u."""
+    labels = np.empty((n, size), dtype=np.int8)
+    counts = np.zeros((k, size), dtype=np.min_scalar_type(n * (n - 1)))
+    cum, prob, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    idx = np.empty(size, dtype=np.min_scalar_type(k - 1))  # labels past 127 wrap only in the int8 codes
     for t in range(n):
-        probs = (counts + 0.5) / (t + k / 2.0)
-        cum = np.cumsum(probs, axis=1)
         u = rng.random(size)
-        idx = np.minimum((cum < u[:, None]).sum(axis=1), k - 1)
-        labels[:, t] = idx
-        counts[rows, idx] += 1
-    return labels, counts
+        idx[:] = 0
+        cum[:] = 0.0
+        for a in range(k - 1):
+            np.add(counts[a], 0.5, out=prob, dtype=np.float64)  # float64 even where numpy 1 would pick float16
+            prob /= t + k / 2.0
+            cum += prob
+            idx += np.less(cum, u, out=below)
+        for a in range(k):
+            counts[a] += np.equal(idx, a, out=below)
+        labels[t] = idx
+    return labels.T, counts.T
 
 
 def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
@@ -184,10 +195,10 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     while done < samples:
         size = min(_MC_BLOCK, samples - done)
         labels, counts = _polya_urn_labels(rng, n, k, size)
-        ho = _cell_edges(labels, k, edges)
         L = np.empty(size)
         for lo, hi in _passes(size, n, k):
-            L[lo:hi] = _cell_terms(_beta_log_pred, n, _block_pairs(counts[lo:hi], k), ho[lo:hi]).sum(axis=1)
+            ho = _cell_edges(labels[lo:hi], k, edges)
+            L[lo:hi] = _cell_terms(_beta_log_pred, n, _block_pairs(counts[lo:hi], k), ho).sum(axis=1)
         log_l1.append(_logsumexp(L))
         log_l2.append(_logsumexp(2.0 * L))
         done += size
@@ -221,6 +232,7 @@ class BoundConstants:
 
 def prop31_bound(k: int, n: int) -> BoundConstants:
     """Assemble the non-asymptotic bound constants for (k, n)."""
+    k, n = require_int("k", k), require_int("n", n)
     if n < max(4, k):
         raise ValidationError(f"bound requires n >= max(4, k) = {max(4, k)}, got n={n}")
     c_kn = (

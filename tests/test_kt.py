@@ -310,11 +310,22 @@ def test_mc_std_error_scales_like_inverse_sqrt():
         (30, 0.3, 4, 4000, 5, (-278.1683952824265, 0.06427296691436431, 228.31146544442228)),
         # two blocks of label draws
         (6, 0.5, 2, 600_000, 6, (-10.318997893389914, 0.006748835181973315, 21180.442363758917)),
+        # k = 8: the urn compares all seven columns that it adds up
+        (12, 0.5, 8, 5000, 7, (-49.02053750647798, 0.1000670289522462, 97.92969187473575)),
+        # k = 1: the urn compares no column, yet draws a uniform per node
+        (9, 0.4, 1, 700, 8, (-26.081679790494732, 0.0, 700.0000000000028)),
+        # block sizes in uint16 at n = 40
+        (40, 0.2, 3, 20000, 9, (-386.4025297670453, 0.06918248279337913, 206.78346478528636)),
+        # k = 130: labels past 127 wrap in the int8 codes, not in the draw
+        (5, 0.5, 130, 2000, 10, (-6.856190415027625, 0.015620231726301942, 1344.3215608019711)),
     ],
 )
 def test_mc_values_are_frozen(n, p, k, samples, seed, want):
-    # frozen from the per-edge recount that the node-append step replaced;
-    # every count is an integer, so the values may not move by one bit
+    # frozen from the per-edge recount that the node-append step replaced
+    # (the first two) and from the row-major urn with its (size, k) cumsum
+    # that the column draw replaced (the others); every count is an
+    # integer and every float is summed in the same order, so the values may
+    # not move by one bit
     g = random_graph(np.random.default_rng(seed), n, p)
     mc = log_kt_marginal_mc(g, k, samples, seed)
     assert (mc.log_value, mc.std_error, mc.ess) == want
@@ -340,6 +351,9 @@ def test_prop31_constants():
         prop31_bound(2, 3)
     with pytest.raises(ValidationError):
         prop31_bound(7, 6)
+    for k, n in [(2, 4.5), (2.5, 5)]:  # the size rule holds for integers only
+        with pytest.raises(ValidationError):
+            prop31_bound(k, n)
 
 
 def test_prop31_c_decreasing_in_n():

@@ -225,6 +225,14 @@ def test_mc_memory_is_bounded_by_the_byte_budget():
     assert _traced_peak(lambda: log_kt_marginal_mc(g, 3, 20_000, 1)) < 160 * 2**20
 
 
+def test_mc_label_draws_stay_under_80_mib():
+    # one full block of 2**19 draws at k = 8: 155 MiB traced when the urn held
+    # three (2**19, k) float64 or int64 arrays, 63.5 MiB with uint16 block
+    # sizes and 1-d columns
+    g = random_graph(30, 0.3, 3)
+    assert _traced_peak(lambda: log_kt_marginal_mc(g, 8, 1 << 19, 1)) < 80 * 2**20
+
+
 def test_orbit_weights_need_no_table_of_k_entries():
     # log k!/(k-m)! for the block counts m that occur: 30.5 MiB traced at
     # k = 10**6 with a (k + 1)-entry log-factorial table
