@@ -57,6 +57,7 @@ _LOG_PI = 2.0 * _LG_HALF
 # consumed, so changing it changes every estimate; the edges and cell terms
 # are counted in budgeted passes inside a block.
 _MC_BLOCK = 1 << 19
+_MC_K_MAX = 255  # int8 labels: label 255 would be -1, _append_cells' diagonal sentinel
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,9 @@ def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
 
 def _polya_urn_labels(rng, n: int, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact draws from K(z), the sequential Polya urn of the Dirichlet(1/2,
-    ..., 1/2)-multinomial: labels (size, n) int8 and block sizes (size, k) in
-    the smallest unsigned dtype that holds n(n-1), transposed views of
-    node-major and block-major arrays.  Node t draws u and takes the number
+    ..., 1/2)-multinomial: node-major labels (n, size) int8 and block sizes
+    (size, k) in the smallest unsigned dtype that holds n(n-1), a transposed
+    view of a block-major array.  Node t draws u and takes the number
     of blocks a < k - 1 whose cumulative probability, summed one column at a
     time left to right as ``np.cumsum`` does, is below u."""
     labels = np.empty((n, size), dtype=np.int8)
@@ -172,7 +173,7 @@ def _polya_urn_labels(rng, n: int, k: int, size: int) -> tuple[np.ndarray, np.nd
         for a in range(k):
             counts[a] += np.equal(idx, a, out=below)
         labels[t] = idx
-    return labels.T, counts.T
+    return labels, counts.T
 
 
 def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
@@ -182,7 +183,7 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     delta-method standard error on the log scale and the Kish effective
     sample size (sum w)^2 / sum w^2 of the weights w = K(x|z).
     """
-    require_int("k", k)
+    require_int("k", k, high=_MC_K_MAX)
     require_int("samples", samples, low=100)
     from .seeds import rng_from_seed
 
@@ -197,7 +198,7 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
         labels, counts = _polya_urn_labels(rng, n, k, size)
         L = np.empty(size)
         for lo, hi in _passes(size, n, k):
-            ho = _cell_edges(labels[lo:hi], k, edges)
+            ho = _cell_edges(labels[:, lo:hi], k, edges)
             L[lo:hi] = _cell_terms(_beta_log_pred, n, _block_pairs(counts[lo:hi], k), ho).sum(axis=1)
         log_l1.append(_logsumexp(L))
         log_l2.append(_logsumexp(2.0 * L))

@@ -26,6 +26,7 @@ from .partitions import (
     _label_terms,
     _logsumexp,
     _orbit_sum,
+    _row_labels,
     _table_pass,
     cell_layout,
     iter_labeling_stats,
@@ -216,7 +217,7 @@ def profile_label_search(
     if mode == "exact":
         [(_, table, (obj,))] = _table_pass(x.n, k, x.pairs[None], _plug_in_values)
         best = int(np.argmax(obj))
-        return LabelVector(table.codes[best] + 1, k), float(obj[best])
+        return LabelVector(_row_labels(table, best) + 1, k), float(obj[best])
     if mode == "local":
         return _local_profile_search(x, k, restarts, seed)
     raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'local'")

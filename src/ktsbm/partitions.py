@@ -1,11 +1,9 @@
-"""Enumeration engines for labelings of small graphs.
+"""Enumeration engines for labelings of small graphs, in two flavors:
 
-Two flavors are provided:
-
-* canonical set partitions (restricted growth strings): one representative
-  per orbit of the label-permutation group, with exact multiplicity weights,
-  for quantities invariant under permuting label values (KT mixtures,
-  profile likelihood);
+* canonical set partitions (restricted growth strings, kept as their prefix
+  tree): one representative per orbit of the label-permutation group, with
+  exact multiplicity weights, for quantities invariant under permuting label
+  values (KT mixtures, profile likelihood);
 * full mixed-radix enumeration of {0..k-1}^n, in passes, for quantities that
   depend on the label values (marginal likelihood at fixed params, exact EM).
 
@@ -14,9 +12,10 @@ Per-labeling statistics use a condensed cell layout: cells are the pairs
 node pairs in the cell and ``ho`` the number of edges, so the diagonal cell
 (a, a) holds n_a(n_a-1)/2 pairs.  Node pairs are formed from block sizes in
 one place, ``_block_pairs``, and edges are added in one place, the
-node-append step ``_append_edges``, to L labelings of each of G graphs: once
-per level of a table's prefix tree in ``graph_cell_edges`` and once per node
-over flat rows of one graph's labelings in ``_cell_edges``, into the smallest
+node-append step ``_append_edges``, to L labelings of each of G graphs, read
+from node-major (n, L) labels: once per level of a table's prefix tree in
+``graph_cell_edges``, which grows a level's labels from its parents', and
+once per node of flat labelings in ``_cell_edges``, into the smallest
 unsigned dtype that holds n(n-1)/2 and in passes under ``_STATS_BYTES``.
 
 Every decision of an exact sum over canonical partitions lives here: the
@@ -180,36 +179,27 @@ def partition_count(n: int, m_max: int) -> int:
     return sum(row)
 
 
-def _rgs_codes(n: int, m_max: int) -> tuple[np.ndarray, ...]:
-    """All restricted growth strings of length n over at most m_max values,
-    grown one node per level of a prefix tree: codes (P, n) int8 with first
-    occurrences in order 0, 1, 2, ..., the largest value of each, the block
-    sizes (P, m_max) in the smallest unsigned dtype that holds n(n-1), where
-    ``_block_pairs`` forms node pairs (a child's are its parent's plus one in
-    the block of its new value), and the tree's level_start, parent and
-    first_leaf (see ``PartitionTable``)."""
-    codes = np.zeros((1, 1), dtype=np.int8)
+def _rgs_tree(n: int, m_max: int) -> tuple[np.ndarray, ...]:
+    """The prefix tree of the restricted growth strings of length n over at
+    most m_max values, one node per level (see ``PartitionTable``): value,
+    each string's largest value and block sizes (P, m_max) in the smallest
+    unsigned dtype that holds n(n-1), where ``_block_pairs`` forms node
+    pairs, then level_start and parent."""
     maxval = np.zeros(1, dtype=np.int8)
-    counts = np.zeros((1, m_max), dtype=np.min_scalar_type(n * (n - 1)))
-    counts[0, 0] = 1
-    parents, first_child = [np.zeros(1, dtype=np.int32)], []
+    counts = np.eye(1, m_max, dtype=np.min_scalar_type(n * (n - 1)))
+    values, parents = [maxval], [np.zeros(1, dtype=np.int32)]
     for _ in range(n - 1):
         nchild = np.minimum(maxval.astype(np.int64) + 2, m_max)
-        rows = np.repeat(np.arange(codes.shape[0]), nchild)
+        rows = np.repeat(np.arange(maxval.size), nchild)
         child = np.arange(rows.size)
-        start = np.cumsum(nchild) - nchild
-        newvals = (child - np.repeat(start, nchild)).astype(np.int8)
-        codes = np.concatenate([codes[rows], newvals[:, None]], axis=1)
+        newvals = (child - np.repeat(np.cumsum(nchild) - nchild, nchild)).astype(np.int8)
         maxval = np.maximum(maxval[rows], newvals)
         counts = counts[rows]
         counts[child, newvals] += 1
+        values.append(newvals)
         parents.append(rows.astype(np.int32))
-        first_child.append(start)
-    first_leaf = [np.arange(codes.shape[0], dtype=np.int32)]
-    for start in reversed(first_child):  # children are contiguous and in order
-        first_leaf.append(first_leaf[-1][start])
     level_start = np.cumsum([0] + [p.size for p in parents])
-    return codes, maxval, counts, level_start, np.concatenate(parents), np.concatenate(first_leaf[::-1])
+    return np.concatenate(values), maxval, counts, level_start, np.concatenate(parents)
 
 
 @dataclass(frozen=True)
@@ -219,32 +209,31 @@ class PartitionTable:
 
     n: int
     m_max: int
-    codes: np.ndarray      # (P, n) int8, restricted growth strings
     nblocks: np.ndarray    # (P,) int8
     hn: np.ndarray         # (P, C) pairs per condensed cell, in the smallest
                            # unsigned dtype that holds n(n-1)/2
     cell_a: np.ndarray     # (C,) first block of each condensed cell
     label_part: np.ndarray    # (P,) KT: sum_a [lgamma(n_a+1/2) - lgamma(1/2)]
     plug_in_part: np.ndarray  # (P,) plug-in: sum_a n_a log(n_a/n)
-    # The prefix tree of the codes: level t holds the distinct prefixes of
+    # The prefix tree of the labelings: level t holds the distinct prefixes of
     # length t + 1, at rows level_start[t]:level_start[t + 1] (int64, n + 1
-    # entries) of the two int32 arrays below.  parent is a row's parent's
-    # index within level t - 1; first_leaf is the first row of the table
-    # with the row's prefix.  The last level is the table itself.
+    # entries) of the two arrays below: value, the int8 label of node t, and
+    # parent, the int32 index of a row's parent within level t - 1.  The last
+    # level is the table, so a row's labels are its path (``_row_labels``).
     level_start: np.ndarray
     parent: np.ndarray
-    first_leaf: np.ndarray
+    value: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.codes.shape[0]
+        return self.nblocks.size
 
 
 @lru_cache(maxsize=8)
 def partition_table(n: int, m_max: int) -> PartitionTable:
     m_max = min(m_max, n)
-    codes, maxval, counts, level_start, parent, first_leaf = _rgs_codes(n, m_max)
-    P = codes.shape[0]
+    value, maxval, counts, level_start, parent = _rgs_tree(n, m_max)
+    P = maxval.size
     cell_a = cell_layout(m_max)[0]
     hn = np.empty((P, cell_a.size), dtype=np.min_scalar_type(n * (n - 1) // 2))
     parts = np.empty(P), np.empty(P)  # KT and plug-in, as in _label_terms
@@ -256,7 +245,6 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
     return PartitionTable(
         n=n,
         m_max=m_max,
-        codes=codes,
         nblocks=maxval + 1,
         hn=hn,
         cell_a=cell_a,
@@ -264,8 +252,17 @@ def partition_table(n: int, m_max: int) -> PartitionTable:
         plug_in_part=parts[1],
         level_start=level_start,
         parent=parent,
-        first_leaf=first_leaf,
+        value=value,
     )
+
+
+def _row_labels(table: PartitionTable, row) -> np.ndarray:
+    """The int8 labels (..., n) of table rows ``row``, read up their paths."""
+    labels = np.empty(np.shape(row) + (table.n,), dtype=np.int8)
+    for t in range(table.n - 1, -1, -1):
+        labels[..., t] = table.value[table.level_start[t] + row]
+        row = table.parent[table.level_start[t] + row]
+    return labels
 
 
 def _max_table_blocks(n: int) -> int:
@@ -310,26 +307,25 @@ def _node_columns(edges: np.ndarray, bits: np.ndarray) -> dict:
     return {t: (c, bits[:, w].astype(np.float32)) for t, (c, w) in cols.items()}
 
 
-def _append_edges(ho: np.ndarray, codes: np.ndarray, leaves: np.ndarray | None, column: tuple, k: int) -> None:
+def _append_edges(ho: np.ndarray, labels: np.ndarray, column: tuple, k: int) -> None:
     """Add to each row of ``ho`` (G, L, C) the edges that graph g has (has[g]
     = 1) between node t = cols[0] and its earlier neighbours j in cols[1:],
     for ``column`` = (cols, has) of ``_node_columns``, each in cell (label(j),
-    label(t)); row i reads its labels from codes[leaves[i]], or codes[i]."""
+    label(t)); row i's labels are column i of the node-major ``labels`` (n, L)."""
     (cols, has), (pick, gather, blocks) = column, _append_cells(k)
     (G, L, C), dtype = ho.shape, ho.dtype
     every = has.all()  # every graph has every edge: one count serves them all
-    # live per row: the codes, the labels of node t and its neighbours, their
-    # comparison with each block (and its float32 copy) and per graph the
-    # counts d (float32 first); then the 2C picks, the gathered d, products
-    row_bytes = codes.shape[1] + (k + 1) * len(cols) + 2 * C + G * dtype.itemsize * (k + 4 * C)
+    # live per row: the labels of node t and its neighbours, their comparison
+    # with each block (and its float32 copy) and per graph the counts d
+    # (float32 first); then the 2C picks, the gathered d, their products
+    row_bytes = (k + 1) * len(cols) + 2 * C + G * dtype.itemsize * (k + 4 * C)
     for lo, hi in _budget_passes(L, row_bytes + (0 if every else 4 * k * (len(cols) + G))):
-        rows = codes[lo:hi] if leaves is None else np.take(codes, leaves[lo:hi], axis=0)
-        labels = rows.T[cols]
+        at = labels[cols, lo:hi]
         if every:  # (k, 1, rows): count each block's neighbours
-            d = (labels[1:] == blocks).sum(axis=1, dtype=dtype)[:, None]
+            d = (at[1:] == blocks).sum(axis=1, dtype=dtype)[:, None]
         else:  # (k, G, rows), exact in float32 below 2**24
-            d = np.matmul(has, (labels[1:] == blocks).astype(np.float32)).astype(dtype)
-        inc = (labels[0] == pick) * d[gather]
+            d = np.matmul(has, (at[1:] == blocks).astype(np.float32)).astype(dtype)
+        inc = (at[0] == pick) * d[gather]
         inc = inc[:C] + inc[C:]
         ho[:, lo:hi] += inc.transpose(1, 2, 0)
 
@@ -339,25 +335,28 @@ def graph_cell_edges(table: PartitionTable, edges: np.ndarray, bits: np.ndarray 
     ``table.hn``, for graphs with edge bits as in ``_node_columns`` (one graph
     with all ``edges`` by default), counted down the table's prefix tree: a
     level-t row adds node t's edges to its earlier neighbours to its parent's
-    counts, so work grows with the level's rows, not with P times all edges."""
+    counts and takes its parent's labels plus its value, so work grows with
+    the level's rows, not with P times all edges."""
     bits = np.ones((1, len(edges)), dtype=bool) if bits is None else bits
     starts, cols = table.level_start.tolist(), _node_columns(edges, bits)
     ho = np.zeros((len(bits), 1, table.cell_a.size), dtype=table.hn.dtype)
-    for t in range(1, table.n):
-        ho = np.take(ho, table.parent[starts[t] : starts[t + 1]], axis=1)
+    labels = table.value[None, :1]
+    for t, (lo, hi) in enumerate(zip(starts[1:], starts[2:]), 1):
+        ho, labels = np.take(ho, table.parent[lo:hi], axis=1), np.take(labels, table.parent[lo:hi], axis=1)
+        labels = np.concatenate([labels, table.value[None, lo:hi]])
         if t in cols:
-            _append_edges(ho, table.codes, table.first_leaf[starts[t] : starts[t + 1]], cols[t], table.m_max)
+            _append_edges(ho, labels, cols[t], table.m_max)
     return ho
 
 
-def _cell_edges(codes: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
-    """Edges per condensed cell (L, C) of the labelings in the rows of
-    ``codes`` (values 0..k-1), added one node at a time, in the smallest
-    unsigned dtype that holds n(n-1)/2."""
-    L, n = codes.shape
+def _cell_edges(labels: np.ndarray, k: int, edges: np.ndarray) -> np.ndarray:
+    """Edges per condensed cell (L, C) of the labelings in the columns of the
+    node-major ``labels`` (n, L) (values 0..k-1), added one node at a time,
+    in the smallest unsigned dtype that holds n(n-1)/2."""
+    n, L = labels.shape
     ho = np.zeros((1, L, k * (k + 1) // 2), dtype=np.min_scalar_type(n * (n - 1) // 2))
     for column in _node_columns(edges, np.ones((1, len(edges)), dtype=bool)).values():
-        _append_edges(ho, codes, None, column, k)
+        _append_edges(ho, labels, column, k)
     return ho[0]
 
 
@@ -416,17 +415,17 @@ def iter_labeling_stats(n: int, k: int, edges: np.ndarray):
     edges per cell (L, C) from ``_cell_edges``, in the condensed cell layout
     of k.  Labeling i is the n base-k digits of i."""
     C, s = k * (k + 1) // 2, np.min_scalar_type(n * (n - 1) // 2).itemsize
-    # bytes per row: the pass the consumer still holds, this pass's codes and
+    # bytes per row: the pass the consumer still holds, this pass's labels and
     # block sizes, and the largest of: the int64 digits, the comparison with
     # each block, _block_pairs' arrays, or the cells beside _append_edges' arrays
     held = 8 * k + (8 + s) * C
     work = max(8 * n + 8, n * k, 16 * C + 24 * k, (10 + 5 * s) * C + (k + 2) * n + s * k)
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
     for lo, hi in _budget_passes(k**n, held + n + 8 * k + work):
-        codes = np.arange(lo, hi, dtype=np.int64)[:, None] // powers
-        codes = np.remainder(codes, k, out=codes).astype(np.int8)  # in place: 8 bytes per node slot
-        counts = (codes[..., None] == np.arange(k, dtype=np.int8)).sum(axis=1, dtype=np.int64)
-        yield counts, _block_pairs(counts, k), _cell_edges(codes, k, edges)
+        labels = np.arange(lo, hi, dtype=np.int64) // powers  # node-major (n, L)
+        labels = np.remainder(labels, k, out=labels).astype(np.int8)  # in place: 8 bytes per node slot
+        counts = (labels[..., None] == np.arange(k, dtype=np.int8)).sum(axis=0, dtype=np.int64)
+        yield counts, _block_pairs(counts, k), _cell_edges(labels, k, edges)
 
 
 def labeling_stats(n: int, k: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -139,6 +139,7 @@ def estimate_order(
     if kind == "exact":
         kt_values = kt._log_kt_exact(x, range(1, k_max + 1))
     else:
+        require_int("k_max", k_max, high=kt._MC_K_MAX)  # before the first draw
         kt_values = [
             log_kt_marginal_mc(x, k, samples, derive_seed(seed, k))
             for k in range(1, k_max + 1)

@@ -115,3 +115,20 @@ def recount_cell_edges(codes, k, edges):
         flat = np.arange(len(ends))[:, None] * C + a * k - a * (a - 1) // 2 + b - a
         out[lo : lo + 4096] = np.bincount(flat.ravel(), minlength=len(ends) * C).reshape(-1, C)
     return out
+
+
+def rgs_strings(n, m_max):
+    """Every restricted growth string of length n >= 1 over at most m_max
+    values (s[0] = 0 and each s[i] at most one above max(s[:i])), as tuples
+    in lexicographic order, by depth-first recursion over the next value."""
+    out = []
+
+    def grow(prefix, top):
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for v in range(min(top + 2, m_max)):
+            grow(prefix + (v,), max(top, v))
+
+    grow((0,), 0)
+    return out

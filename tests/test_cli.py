@@ -214,6 +214,13 @@ def test_estimate_mc_reports_ess(tmp_path, capsys):
     assert 1.0 <= rows[1]["ess"] <= 500.0
 
 
+def test_estimate_mc_past_255_blocks_exits_2(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("5 2\n1 2\n3 4\n")
+    code, _, err = run_cli(capsys, "estimate", str(graph), "--k-max", "256", "--kt", "mc:100")
+    assert code == 2 and "k_max must be an integer >= 1 and <= 255" in err
+
+
 def test_verify_gamma_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "gamma_ineq", "--count", "200", "--seed", "1")
     assert code == 0

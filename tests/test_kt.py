@@ -216,10 +216,11 @@ def test_private_logsumexp_matches_scipy_bitwise():
 
 @pytest.mark.parametrize("n,m_max", [(1, 1), (6, 3), (9, 9)])
 def test_partition_table_label_part(n, m_max):
-    from ktsbm.partitions import partition_table
+    from ktsbm.partitions import _row_labels, partition_table
 
     table = partition_table(n, m_max)
-    counts = (table.codes[..., None] == np.arange(m_max)).sum(axis=1)  # the table keeps no block sizes
+    codes = _row_labels(table, np.arange(table.size))  # the table keeps no labels
+    counts = (codes[..., None] == np.arange(m_max)).sum(axis=1)  # nor block sizes
     want = (gammaln(counts + 0.5) - gammaln(0.5)).sum(axis=1)
     assert np.array_equal(table.label_part, want)
 
@@ -335,6 +336,16 @@ def test_mc_validation():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValidationError):
         log_kt_marginal_mc(g, 2, 50, seed=0)
+
+
+def test_mc_refuses_k_past_the_int8_labels():
+    # label 255 is the int8 code -1, the diagonal sentinel of the cell
+    # spread: k = 256 and 300 returned NaN against exact values near -6.91
+    g = random_graph(np.random.default_rng(1), 5)
+    for k in (256, 300):
+        with pytest.raises(ValidationError, match="<= 255"):
+            log_kt_marginal_mc(g, k, 100, seed=1)
+    assert np.isfinite(log_kt_marginal_mc(g, 255, 500, seed=1).log_value)
 
 
 # ------------------------------------------------------------ the bound

@@ -25,9 +25,14 @@ from ktsbm import (
 from ktsbm import partitions
 from ktsbm.likelihood import sup_log_lik_upper_bound
 from ktsbm.partitions import cell_layout, graph_cell_edges, labeling_stats, partition_table
-from oracles import recount_cell_edges
+from oracles import recount_cell_edges, rgs_strings
 
 SRC = Path(partitions.__file__).parent
+
+
+def table_labels(t):
+    """Every row's labels (P, n), read up the table's prefix tree."""
+    return partitions._row_labels(t, np.arange(t.size))
 
 
 def random_graph(n, p, seed):
@@ -89,7 +94,7 @@ def _test_graphs(n):
 def test_graph_cell_edges_equals_a_per_edge_recount(monkeypatch, n, m_max):
     table = partition_table(n, m_max)
     graphs = _test_graphs(n)
-    want = [recount_cell_edges(table.codes, m_max, g.edges()) for g in graphs]
+    want = [recount_cell_edges(table_labels(table), m_max, g.edges()) for g in graphs]
     for budget in (partitions._STATS_BYTES, 4 << 10):
         monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
         for g, w in zip(graphs, want):
@@ -123,7 +128,7 @@ def test_one_graph_counts_only_the_edges_its_bits_name(n, m_max):
     bits = np.arange(len(nodes)) % 3 != 1
     [ho] = graph_cell_edges(table, nodes, bits[None])
     assert ho.dtype == table.hn.dtype
-    assert np.array_equal(ho, recount_cell_edges(table.codes, m_max, nodes[bits]))
+    assert np.array_equal(ho, recount_cell_edges(table_labels(table), m_max, nodes[bits]))
 
 
 def test_edges_every_graph_has_are_counted_once_for_the_batch():
@@ -161,52 +166,57 @@ def _random_codes(n, k):
     [(1, 1, False), (2, 2, False), (5, 3, False), (30, 8, False), (23, 3, False), (24, 3, False), (8, 3, True)],
 )
 def test_flat_cell_edges_equals_a_per_edge_recount(monkeypatch, n, k, every):
-    # random labelings, or all k**n of them
+    # random labelings, or all k**n of them, handed over node-major
     codes = np.array(list(itertools.product(range(k), repeat=n)), np.int8) if every else _random_codes(n, k)
     graphs = _test_graphs(n)
     want = [recount_cell_edges(codes, k, g.edges()) for g in graphs]
     for budget in (partitions._STATS_BYTES, 4 << 10):
         monkeypatch.setattr(partitions, "_STATS_BYTES", budget)
         for g, w in zip(graphs, want):
-            ho = partitions._cell_edges(codes, k, g.edges())
+            ho = partitions._cell_edges(codes.T, k, g.edges())
             assert ho.dtype == np.min_scalar_type(n * (n - 1) // 2) and np.array_equal(ho, w)
 
 
 def assert_tables_match_a_recount():
-    """Every table field equals a recount of the table's own codes: block
-    sizes by comparison with each block, node pairs as the edges of the
-    complete graph by ``recount_cell_edges``, blocks and both label parts
-    from the block sizes, which the table does not keep.  At n = 17 the
-    table grows its block sizes in uint16."""
+    """Every table field equals a recount of the table's labelings, which,
+    read up its prefix tree, are the restricted growth strings of
+    ``rgs_strings`` in order: block sizes by comparison with each block,
+    node pairs as the edges of the complete graph by ``recount_cell_edges``,
+    blocks and both label parts from the block sizes, which the table does
+    not keep.  At n = 17 the table grows its block sizes in uint16."""
     for n, m_max in [(1, 1), (6, 3), (9, 9), (10, 4), (17, 2)]:
         t = partition_table.__wrapped__(n, m_max)  # bypass the table cache
-        counts = (t.codes[..., None] == np.arange(m_max)).sum(axis=1)
-        hn = recount_cell_edges(t.codes, m_max, np.argwhere(np.triu(np.ones((n, n)), 1)))
+        codes = table_labels(t)
+        strings = rgs_strings(n, m_max)
+        assert codes.dtype == np.int8 and codes.tolist() == [list(s) for s in strings]
+        assert partitions._row_labels(t, t.size - 1).tolist() == list(strings[-1])
+        counts = (codes[..., None] == np.arange(m_max)).sum(axis=1)
+        hn = recount_cell_edges(codes, m_max, np.argwhere(np.triu(np.ones((n, n)), 1)))
         assert (t.n, t.m_max, t.size) == (n, m_max, partitions.partition_count(n, m_max))
         assert np.array_equal(t.hn, hn) and not hasattr(t, "counts")
         assert np.array_equal(t.hn, partitions._block_pairs(counts, m_max))
         assert t.nblocks.dtype == np.int8
         assert t.hn.dtype == np.min_scalar_type(n * (n - 1) // 2)
-        assert np.array_equal(t.nblocks, t.codes.max(axis=1) + 1)
+        assert np.array_equal(t.nblocks, codes.max(axis=1) + 1)
         assert np.array_equal(t.nblocks, (counts > 0).sum(axis=1))
         assert np.array_equal(t.cell_a, cell_layout(m_max)[0])
         assert np.array_equal(t.label_part, (gammaln(counts + 0.5) - gammaln(0.5)).sum(axis=1))
         assert np.array_equal(t.plug_in_part, xlogy(counts, counts / n).sum(axis=1))
         # restricted growth: each value is at most one above every earlier one
-        assert np.all(t.codes[:, 0] == 0)
-        assert np.all(t.codes[:, 1:] <= np.maximum.accumulate(t.codes, axis=1)[:, :-1] + 1)
-        assert len({row.tobytes() for row in t.codes}) == t.size
-        # the prefix tree: level j holds the distinct prefixes of length
-        # j + 1, each at the first table row that has it, under its parent
-        assert t.level_start[0] == 0 and t.level_start[-1] == t.parent.size == t.first_leaf.size
+        assert np.all(codes[:, 0] == 0)
+        assert np.all(codes[:, 1:] <= np.maximum.accumulate(codes, axis=1)[:, :-1] + 1)
+        assert len({row.tobytes() for row in codes}) == t.size
+        # the prefix tree: level j holds the distinct prefixes of length j + 1
+        # in order, each with its last value and its parent's index in level j - 1
+        assert t.level_start[0] == 0 and t.level_start[-1] == t.parent.size == t.value.size
+        assert t.value.dtype == np.int8 and t.parent.dtype == np.int32
         for j in range(n):
             level = slice(t.level_start[j], t.level_start[j + 1])
-            prefixes = t.codes[:, : j + 1]
-            first = np.unique(prefixes, axis=0, return_index=True)[1]
-            assert np.array_equal(t.first_leaf[level], np.sort(first))
+            prefixes = np.unique(codes[:, : j + 1], axis=0)
+            assert np.array_equal(t.value[level], prefixes[:, j])
             if j:
-                up = t.first_leaf[t.level_start[j - 1] + t.parent[level]]
-                assert np.array_equal(prefixes[up, :j], prefixes[t.first_leaf[level], :j])
+                up = np.unique(codes[:, :j], axis=0)
+                assert np.array_equal(up[t.parent[level]], prefixes[:, :j])
 
 
 def _traced_peak(f):
@@ -361,6 +371,15 @@ def test_table_keeps_no_block_sizes():
     # sizes (21.4) and int64 block counts (5.3)
     t = partition_table(12, 4)
     assert sum(a.nbytes for a in vars(t).values() if isinstance(a, np.ndarray)) <= 34 << 20
+
+
+def test_table_keeps_no_label_codes():
+    # 22.5 MiB: the two label parts 10.7, node pairs 6.7, the prefix tree's
+    # int32 parents 3.6 and int8 values 0.9, block counts 0.7; 33.2 MiB with
+    # the (P, n) int8 codes (8.0) and the int32 first leaf of each tree row
+    t = partition_table(12, 4)
+    assert not hasattr(t, "codes") and not hasattr(t, "first_leaf")
+    assert sum(a.nbytes for a in vars(t).values() if isinstance(a, np.ndarray)) <= 24 << 20
 
 
 def test_exact_estimate_memory_with_many_cells_is_bounded():

@@ -128,6 +128,17 @@ def test_estimate_validation():
         estimate_order(g, PenaltySpec(1.0), k_max=2, kt_method="bogus")
 
 
+def test_mc_estimate_refuses_k_max_past_the_int8_labels(monkeypatch):
+    # the NaN score of k = 256 won the argmax; now no label is drawn
+    from ktsbm import selection
+
+    g = Graph(5, np.random.default_rng(1).random(10) < 0.5)
+    monkeypatch.setattr(selection, "log_kt_marginal_mc", lambda *args: pytest.fail("drew labels"))
+    with pytest.raises(ValidationError, match="k_max must be .* <= 255"):
+        estimate_order(g, PenaltySpec(1.0), k_max=256, kt_method="mc:100", seed=1)
+    assert estimate_order(g, PenaltySpec(1.0), k_max=256)[0] == 1  # the exact path takes any k_max
+
+
 # -------------------------------------------------- overestimation bound
 
 
