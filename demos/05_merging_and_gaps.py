@@ -61,7 +61,7 @@ params = SbmParams(k=2, pi=pi0, P=np.array(P0))
 print("dense regime, (1/n^2) * [k0-fit at true labels - best 1-block fit]:")
 for n in (50, 100, 200, 400):
     z, g = sample_sbm(params, n, derive_seed(5, n))
-    r = empirical_underfit_ratio(z, g, 2, mode="local", restarts=10, seed=0)
+    r = empirical_underfit_ratio(z, g, 2)
     print(f"  n={n:4d}: ratio = {r:.6f}   (gap = {dres.gap:.6f})")
 
 print()
@@ -70,6 +70,6 @@ sched = SparseSchedule(S0=np.array(P0), c=1.0, alpha=0.4)
 for n in (200, 400, 800):
     sp = realize_sparse(pi0, sched, n)
     z, g = sample_sbm(sp, n, derive_seed(6, n))
-    r = empirical_underfit_ratio(z, g, 2, mode="local", restarts=10, seed=0, rho=sched.rho(n))
+    r = empirical_underfit_ratio(z, g, 2, rho=sched.rho(n))
     print(f"  n={n:4d}: ratio = {r:.6f}   (gap = {sres.gap:.6f})")
 print("convergence is slower here: the label-entropy term fades like 1/(rho_n n)")

@@ -157,10 +157,7 @@ def _run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRecord:
         kt_method=config.kt_method,
         seed=seed,
     )
-    kind, _ = parse_kt_method(config.kt_method)
-    std_errors = None
-    if kind == "mc":
-        std_errors = tuple(float(r.std_error) for r in table.rows)
+    mc = parse_kt_method(config.kt_method)[0] == "mc"
     return TrialRecord(
         n=n,
         trial_index=trial,
@@ -168,7 +165,7 @@ def _run_trial(config: ExperimentConfig, n: int, trial: int) -> TrialRecord:
         k_hat=k_hat,
         scores=tuple(r.score for r in table.rows),
         kt_method=config.kt_method,
-        std_errors=std_errors,
+        std_errors=tuple(float(r.std_error) for r in table.rows) if mc else None,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -190,11 +187,14 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_trials_csv(path, records: list[TrialRecord], k_max: int, mc: bool) -> None:
-    """Per-trial CSV.  Column set is fixed by (k_max, kt kind):
+def write_trials_csv(path, records: list[TrialRecord], config: ExperimentConfig) -> None:
+    """Per-trial CSV.  Column set is fixed by the config, K = min(max(n_grid),
+    k_max) and the kt kind:
     n,trial_index,seed,k_hat,kt_method,score_1..score_K[,stderr_1..stderr_K].
     Wall-clock time is deliberately not written (outputs must be
     reproducible byte-for-byte)."""
+    k_max = min(max(config.n_grid), config.k_max)
+    mc = parse_kt_method(config.kt_method)[0] == "mc"
     cols = ["n", "trial_index", "seed", "k_hat", "kt_method"]
     cols += [f"score_{k}" for k in range(1, k_max + 1)]
     if mc:
@@ -230,14 +230,12 @@ def write_summary_csv(path, records: list[TrialRecord], config: ExperimentConfig
 def write_outputs(config: ExperimentConfig, records: list[TrialRecord], out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kind, _ = parse_kt_method(config.kt_method)
     paths = {
         "trials": out / "trials.csv",
         "summary": out / "summary.csv",
         "config": out / "resolved_config.json",
     }
-    k_cols = min(max(config.n_grid), config.k_max)
-    write_trials_csv(paths["trials"], records, k_cols, mc=kind == "mc")
+    write_trials_csv(paths["trials"], records, config)
     write_summary_csv(paths["summary"], records, config)
     with open(paths["config"], "w", encoding="utf-8", newline="\n") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
@@ -317,7 +315,6 @@ def prop31_suite(n_values=(4, 5), k_values=(1, 2), em_starts: int = 16, seed: in
 def gamma_suite(count: int = 1000, seed: int = 0) -> SuiteReport:
     """Random compositions through the Gamma composition inequality."""
     require_int("count", count)
-    require_int("seed", seed, low=0, high=_MASK)
     rng = rng_from_seed(derive_seed(seed, 0xA1))
     worst = -np.inf
     bad = 0

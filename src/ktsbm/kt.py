@@ -52,11 +52,14 @@ __all__ = [
 
 _LG_HALF = gammaln(0.5)  # log Gamma(1/2) = log sqrt(pi)
 _LOG_PI = 2.0 * _LG_HALF
-# Monte Carlo labels are drawn in blocks of this many samples, node by node
-# over block-length columns.  The block fixes how a seed's stream is
-# consumed, so changing it changes every estimate; the edges and cell terms
-# are counted in budgeted passes inside a block.
+# Monte Carlo labels are drawn in blocks of min(_MC_BLOCK, _MC_LABEL_BYTES // n)
+# samples, node by node over block-length columns, so a block's int8 labels
+# stay under _MC_LABEL_BYTES.  The block fixes how a seed's stream is
+# consumed, so changing either constant changes estimates (at n <= 64 only
+# _MC_BLOCK binds); the edges and cell terms are counted in budgeted passes
+# inside a block.
 _MC_BLOCK = 1 << 19
+_MC_LABEL_BYTES = 1 << 25
 _MC_K_MAX = 255  # int8 labels: label 255 would be -1, _append_cells' diagonal sentinel
 
 
@@ -138,16 +141,11 @@ def log_kt_exact_batch(n: int, pairs: np.ndarray, ks) -> np.ndarray:
     return out
 
 
-def _log_kt_exact(x: Graph, ks) -> list[KtValue]:
-    """Exact log K_k(x) for every k of ``ks``: the one-graph batch."""
-    values = log_kt_exact_batch(x.n, x.pairs[None], ks)[0]
-    return [KtValue(log_value=float(v), method="exact", k=k, n=x.n) for k, v in zip(ks, values)]
-
-
 def log_kt_marginal_exact(x: Graph, k: int) -> KtValue:
     """log K(x) = log sum_z K(z) K(x|z), orbit-reduced over label
-    permutations with exact multiplicity weights."""
-    return _log_kt_exact(x, [k])[0]
+    permutations with exact multiplicity weights: the one-k batch."""
+    value = log_kt_exact_batch(x.n, x.pairs[None], [k])[0, 0]
+    return KtValue(log_value=float(value), method="exact", k=k, n=x.n)
 
 
 def _polya_urn_labels(rng, n: int, k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +190,9 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
     edges = x.edges()
     log_l1 = []  # block logsumexp of L_s
     log_l2 = []  # block logsumexp of 2 L_s
-    done = 0
+    done, block = 0, min(_MC_BLOCK, _MC_LABEL_BYTES // n)
     while done < samples:
-        size = min(_MC_BLOCK, samples - done)
+        size = min(block, samples - done)
         labels, counts = _polya_urn_labels(rng, n, k, size)
         L = np.empty(size)
         for lo, hi in _passes(size, n, k):
@@ -203,6 +201,7 @@ def log_kt_marginal_mc(x: Graph, k: int, samples: int, seed: int) -> KtValue:
         log_l1.append(_logsumexp(L))
         log_l2.append(_logsumexp(2.0 * L))
         done += size
+        del labels  # before the next block's labels are drawn
     a = _logsumexp(np.array(log_l1))
     b = _logsumexp(np.array(log_l2))
     log_mean = a - np.log(samples)

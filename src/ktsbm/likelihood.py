@@ -25,6 +25,7 @@ from .partitions import (
     _cell_terms,
     _label_terms,
     _logsumexp,
+    _max_table_blocks,
     _orbit_sum,
     _row_labels,
     _table_pass,
@@ -96,14 +97,18 @@ def _safe_log(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.0, out, _LOG_FLOOR)
 
 
+def _log_prob_rows(params: SbmParams, counts: np.ndarray, hn: np.ndarray, ho: np.ndarray):
+    """log P(z, x) per row of labeling statistics (..., k), (..., C) and
+    (..., C); -inf where a zero-probability cell has a positive count."""
+    P = params.P[cell_layout(params.k)[:2]]
+    label_term = xlogy(counts, params.pi).sum(axis=-1)
+    return label_term + (xlogy(ho, P).sum(axis=-1) + xlogy(hn - ho, 1.0 - P).sum(axis=-1))
+
+
 def complete_log_prob(params: SbmParams, z: LabelVector, x: Graph) -> float:
     """log P(z, x) under the given parameters; -inf when a zero-probability
     cell has a positive count."""
-    counts, hn, ho = cell_stats(z, x, params.k)
-    P = params.P[cell_layout(params.k)[:2]]
-    label_term = xlogy(counts, params.pi).sum()
-    edge_term = xlogy(ho, P).sum() + xlogy(hn - ho, 1.0 - P).sum()
-    return float(label_term + edge_term)
+    return float(_log_prob_rows(params, *cell_stats(z, x, params.k)))
 
 
 @dataclass(frozen=True)
@@ -197,30 +202,23 @@ def _plug_in_values(table, ho: np.ndarray, rows: slice) -> np.ndarray:
     return np.add(cells, table.plug_in_part[rows], out=cells)  # in place, as in kt._kt_base
 
 
-def profile_label_search(
-    x: Graph,
-    k: int,
-    mode: str = "exact",
-    restarts: int = 20,
-    seed: int = 0,
-) -> tuple[LabelVector, float]:
+def profile_label_search(x: Graph, k: int, restarts: int = 20, seed: int = 0) -> tuple[LabelVector, float]:
     """Maximize the plug-in likelihood over labelings in {1..k}^n.
 
-    Exact mode enumerates one canonical labeling per label-permutation orbit
-    (the objective is invariant under relabeling), under the table cap of
-    ``partitions``, and scores them one budgeted pass at a time; local mode
-    runs greedy single-node relabel sweeps from seeded random starts and
+    Where the table of ``partitions`` fits (at most its largest block count
+    for n), scores one canonical labeling per label-permutation orbit (the
+    objective is invariant under relabeling), one budgeted pass at a time,
+    and returns the exact optimum.  Past the table cap it runs greedy
+    single-node relabel sweeps from ``restarts`` seeded random starts and
     returns the best value found, which never exceeds the exact optimum.
     """
     require_int("k", k)
     require_int("restarts", restarts)
-    if mode == "exact":
-        [(_, table, (obj,))] = _table_pass(x.n, k, x.pairs[None], _plug_in_values)
-        best = int(np.argmax(obj))
-        return LabelVector(_row_labels(table, best) + 1, k), float(obj[best])
-    if mode == "local":
+    if min(k, x.n) > _max_table_blocks(x.n):
         return _local_profile_search(x, k, restarts, seed)
-    raise ValidationError(f"unknown mode {mode!r}; expected 'exact' or 'local'")
+    [(_, table, (obj,))] = _table_pass(x.n, k, x.pairs[None], _plug_in_values)
+    best = int(np.argmax(obj))
+    return LabelVector(_row_labels(table, best) + 1, k), float(obj[best])
 
 
 def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
@@ -238,18 +236,11 @@ def sup_log_lik_upper_bound(x: Graph, k: int) -> float:
 
 def marginal_log_lik_exact(params: SbmParams, x: Graph) -> float:
     """log P(x) = log sum_z P(z, x) by stable enumeration over all k**n
-    labelings, at most ``ENUM_CAP``."""
+    labelings, at most ``ENUM_CAP``; -inf for a graph of probability 0."""
     n, k = x.n, params.k
     if k**n > ENUM_CAP:
         raise InfeasibleSizeError(f"k**n = {k**n} labelings exceed the cap {ENUM_CAP}")
-    log_pi = _safe_log(params.pi)
-    cell_a, cell_b, _ = cell_layout(k)
-    logP = _safe_log(params.P[cell_a, cell_b])
-    log1mP = _safe_log(1.0 - params.P[cell_a, cell_b])
-    chunks = []
-    for counts, hn, ho in iter_labeling_stats(n, k, x.edges()):
-        ll = counts @ log_pi + ho @ logP + (hn - ho) @ log1mP
-        chunks.append(_logsumexp(ll))
+    chunks = [_logsumexp(_log_prob_rows(params, *stats)) for stats in iter_labeling_stats(n, k, x.edges())]
     return _logsumexp(np.array(chunks))
 
 

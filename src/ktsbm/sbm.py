@@ -144,9 +144,12 @@ class LabelVector:
     __slots__ = ("labels", "k")
 
     def __init__(self, labels, k: int):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValidationError("labels must be a 1-d sequence")
+        if labels.size and labels.dtype.kind not in "iu":  # np.asarray([]) is float64
+            raise ValidationError(f"labels must be integers, got {labels.dtype} values")
+        labels = labels.astype(np.int64)
         k = require_int("k", k)
         if labels.size and (labels.min() < 1 or labels.max() > k):
             raise ValidationError(f"labels must lie in [1, {k}]")

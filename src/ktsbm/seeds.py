@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_int
+
 _MASK = (1 << 64) - 1
 
 
@@ -26,14 +28,15 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     """Mix a master seed with integer coordinates (e.g. n, trial index).
 
     derive_seed(s, n, t) = mix64(mix64(mix64(s) ^ n) ^ t); stable across
-    runs, platforms and worker counts.
+    runs, platforms and worker counts.  The master seed is an integer in
+    [0, 2**64), like every seed from outside.
     """
-    s = mix64(master_seed & _MASK)
+    s = mix64(require_int("seed", master_seed, low=0, high=_MASK))
     for p in parts:
         s = mix64(s ^ (p & _MASK))
     return s
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK))
+    """Philox generator keyed by a 64-bit seed, an integer in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(key=require_int("seed", seed, low=0, high=_MASK)))

@@ -135,30 +135,20 @@ def estimate_order(
     """
     require_int("k_max", k_max)
     kind, samples = parse_kt_method(kt_method)
-    n = x.n
+    n, ks = x.n, range(1, k_max + 1)
+
+    def row(k, log_kt, method, std_error=None, ess=None):
+        pen = penalty(k, n, spec)
+        return CriterionRow(k, log_kt, pen, log_kt - pen, method, std_error, ess)
+
     if kind == "exact":
-        kt_values = kt._log_kt_exact(x, range(1, k_max + 1))
+        rows = [row(k, float(v), "exact") for k, v in zip(ks, kt.log_kt_exact_batch(n, x.pairs[None], ks)[0])]
     else:
         require_int("k_max", k_max, high=kt._MC_K_MAX)  # before the first draw
-        kt_values = [
-            log_kt_marginal_mc(x, k, samples, derive_seed(seed, k))
-            for k in range(1, k_max + 1)
-        ]
-    rows = []
-    for kv in kt_values:
-        pen_k = penalty(kv.k, n, spec)
-        tag = "exact" if kv.method == "exact" else f"mc:{kv.samples}"
-        rows.append(
-            CriterionRow(
-                k=kv.k,
-                log_kt=kv.log_value,
-                pen=pen_k,
-                score=kv.log_value - pen_k,
-                method=tag,
-                std_error=kv.std_error,
-                ess=kv.ess,
-            )
-        )
+        rows = []
+        for k in ks:
+            kv = log_kt_marginal_mc(x, k, samples, derive_seed(seed, k))
+            rows.append(row(k, kv.log_value, f"mc:{samples}", kv.std_error, kv.ess))
     table = CriterionTable(n=n, rows=tuple(rows))
     return int(np.argmax(table.scores())) + 1, table  # argmax takes the first (smallest k) on ties
 
@@ -285,17 +275,17 @@ def empirical_underfit_ratio(
     z: LabelVector,
     x: Graph,
     k0: int,
-    mode: str = "exact",
     restarts: int = 20,
     seed: int = 0,
     rho: float | None = None,
 ) -> float:
     """Finite-n likelihood gap between the k0-block fit at the true labels
-    and the best (k0-1)-block profile fit, normalized by n^2 (or by
-    rho * n^2 when ``rho`` is given, the sparse-regime scaling)."""
+    and the best (k0-1)-block profile fit of ``profile_label_search``
+    (exact where the table fits, else a local optimum), normalized by n^2
+    (or by rho * n^2 when ``rho`` is given, the sparse-regime scaling)."""
     if k0 < 2:
         raise ValidationError("underfit ratio needs k0 >= 2")
     top = max_complete_log_lik(z, x, k0)
-    _, bottom = profile_label_search(x, k0 - 1, mode=mode, restarts=restarts, seed=seed)
+    _, bottom = profile_label_search(x, k0 - 1, restarts=restarts, seed=seed)
     scale = x.n**2 if rho is None else rho * x.n**2
     return float((top - bottom) / scale)

@@ -144,7 +144,7 @@ def test_criterion_06_underfit_ratio_convergence():
     dg = dense_gap(pi0, P0).gap
     params = SbmParams(k=2, pi=pi0, P=P0)
     z, g = sample_sbm(params, 200, derive_seed(2024, 200, 0))
-    r_dense = empirical_underfit_ratio(z, g, 2, mode="local", restarts=20, seed=0)
+    r_dense = empirical_underfit_ratio(z, g, 2, restarts=20, seed=0)
     ok_dense = abs(r_dense - dg) <= 0.25 * dg
     # frozen first-run baseline, regression guard
     assert r_dense == pytest.approx(0.092364246, abs=1e-6)
@@ -159,7 +159,7 @@ def test_criterion_06_underfit_ratio_convergence():
     # first passing instance of the master-seed sequence and is frozen as
     # the recorded demonstration
     z, g = sample_sbm(sparse_params, n, derive_seed(2024, n, 1))
-    r_sparse = empirical_underfit_ratio(z, g, 2, mode="local", restarts=20, seed=1, rho=rho)
+    r_sparse = empirical_underfit_ratio(z, g, 2, restarts=20, seed=1, rho=rho)
     ok_sparse = abs(r_sparse - sg) <= 0.35 * sg
     assert r_sparse == pytest.approx(0.032350050, abs=1e-6)
     record(

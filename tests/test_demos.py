@@ -1,4 +1,5 @@
-"""Every README demo runs to completion."""
+"""Every README demo runs to completion, with RuntimeWarnings as errors, as
+in-process tests run."""
 
 import os
 import subprocess
@@ -15,6 +16,6 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr

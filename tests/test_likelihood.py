@@ -29,6 +29,7 @@ from ktsbm import (
     sup_log_lik_upper_bound,
     tau_fn,
 )
+from ktsbm.likelihood import _local_profile_search
 from ktsbm.seeds import derive_seed
 
 from oracles import naive_complete_prob, naive_marginal_prob, naive_profile_optimum
@@ -180,7 +181,7 @@ def test_max_complete_matches_plugin_and_dominates():
 def test_profile_two_cliques():
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     g = Graph.from_edges(6, edges)
-    z, val = profile_label_search(g, 2, mode="exact")
+    z, val = profile_label_search(g, 2)
     assert val == pytest.approx(-6 * math.log(2))
     blocks = {frozenset(np.nonzero(z.labels == v)[0].tolist()) for v in (1, 2)}
     assert blocks == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
@@ -188,7 +189,7 @@ def test_profile_two_cliques():
 
 def test_profile_single_node():
     g = Graph.from_edges(1, [])
-    _, val = profile_label_search(g, 3, mode="exact")
+    _, val = profile_label_search(g, 3)
     assert val == 0.0
 
 
@@ -197,7 +198,7 @@ def test_profile_exact_matches_naive_enumeration():
     for _ in range(5):
         _, g, adj = random_instance(rng, 6, 2)
         want, _ = naive_profile_optimum(adj, 2)
-        _, got = profile_label_search(g, 2, mode="exact")
+        _, got = profile_label_search(g, 2)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -207,10 +208,17 @@ def test_profile_local_reaches_exact_at_n7():
     # at k=3, 20 restarts stop at a 3-block local optimum 0.15 nats under
     # the exact (one-block) optimum; 50 reach it
     for k, restarts in ((2, 20), (3, 50)):
-        _, exact = profile_label_search(g, k, mode="exact")
-        _, local = profile_label_search(g, k, mode="local", restarts=restarts, seed=0)
+        _, exact = profile_label_search(g, k)
+        _, local = _local_profile_search(g, k, restarts, 0)
         assert local == pytest.approx(exact, abs=1e-9)
         assert local <= exact + 1e-9
+
+
+def test_profile_one_block_exact_and_local_agree_to_the_bit():
+    rng = np.random.default_rng(19)
+    for n in (2, 9, 40, 200):
+        g = Graph(n, rng.random(n * (n - 1) // 2) < 0.3)
+        assert profile_label_search(g, 1) == _local_profile_search(g, 1, 20, 0)
 
 
 def test_profile_local_value_is_plugin_at_returned_labels():
@@ -221,7 +229,7 @@ def test_profile_local_value_is_plugin_at_returned_labels():
             P = np.triu(rng.random((k, k)))
             params = SbmParams(k=k, pi=pi, P=P + np.triu(P, 1).T)
             _, g = sample_sbm(params, int(rng.integers(8, 40)), derive_seed(32, k, t))
-            z, val = profile_label_search(g, k, mode="local", restarts=3, seed=t)
+            z, val = _local_profile_search(g, k, 3, t)
             assert val == pytest.approx(max_complete_log_lik(z, g, k), abs=1e-9)
 
 
@@ -229,16 +237,18 @@ def test_profile_node_permutation_invariance():
     rng = np.random.default_rng(16)
     _, g, _ = random_instance(rng, 7, 2)
     perm = rng.permutation(7)
-    _, v1 = profile_label_search(g, 2, mode="exact")
-    _, v2 = profile_label_search(g.permute_nodes(perm), 2, mode="exact")
+    _, v1 = profile_label_search(g, 2)
+    _, v2 = profile_label_search(g.permute_nodes(perm), 2)
     assert v1 == pytest.approx(v2, abs=1e-9)
 
 
 def test_profile_cap():
-    # 2 798 251 canonical labelings, above the 2 000 000 table cap
-    g = Graph(13, np.zeros(13 * 12 // 2, dtype=bool))
-    with pytest.raises(InfeasibleSizeError):
-        profile_label_search(g, 4, mode="exact")
+    # 2 798 251 canonical labelings, above the 2 000 000 table cap: the
+    # search is local, and its result is the local search's
+    g = Graph(13, np.random.default_rng(18).random(13 * 12 // 2) < 0.4)
+    z, val = profile_label_search(g, 4, restarts=5, seed=3)
+    assert (z, val) == _local_profile_search(g, 4, 5, 3)
+    assert val == pytest.approx(max_complete_log_lik(z, g, 4), abs=1e-9)
 
 
 # ------------------------------------------------------- exact marginal
@@ -267,6 +277,16 @@ def test_marginal_matches_naive_16_term_sum():
         _, g, adj = random_instance(rng, 4, 2)
         want = naive_marginal_prob(params.pi, params.P, adj, 2)
         assert marginal_log_lik_exact(params, g) == pytest.approx(math.log(want), abs=1e-9)
+
+
+def test_marginal_is_minus_infinity_for_a_graph_of_probability_zero():
+    # two edges under P = 0, four non-edges under P = 1: complete_log_prob
+    # gives -inf for the one labeling, and so must the marginal
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for p in (0.0, 1.0):
+        params = SbmParams(k=1, pi=[1.0], P=[[p]])
+        assert complete_log_prob(params, LabelVector([1] * 4, 1), g) == -np.inf
+        assert marginal_log_lik_exact(params, g) == -np.inf
 
 
 def test_marginal_cap():
@@ -391,8 +411,7 @@ def test_fit_validation():
         lambda: fit_marginal_ml(g4, -1),
         lambda: fit_marginal_ml(g4, 2, starts=0),
         lambda: profile_label_search(g4, 0),
-        lambda: profile_label_search(g4, 0, mode="local"),
-        lambda: profile_label_search(g4, 2, mode="local", restarts=0),
+        lambda: profile_label_search(g4, 2, restarts=0),
         lambda: sup_log_lik_upper_bound(g4, 0),
         lambda: log_kt_marginal_exact(g4, 0),
         lambda: log_kt_marginal_mc(g4, 0, 100, 0),
@@ -530,9 +549,9 @@ def test_plug_in_gathers_every_per_partition_term(monkeypatch):
     monkeypatch.setattr(likelihood, "xlogy", counting)
     _cell_grid.cache_clear()
     partitions._label_terms.cache_clear()
-    profile_label_search(g, k, mode="exact")
+    profile_label_search(g, k)
     assert max(sizes) > k  # the warm-up built the terms through the patch
     sizes.clear()
-    profile_label_search(g, k, mode="exact")
+    profile_label_search(g, k)
     verify_prop31(g, k)
     assert max(sizes, default=0) <= k

@@ -243,6 +243,14 @@ def test_mc_label_draws_stay_under_80_mib():
     assert _traced_peak(lambda: log_kt_marginal_mc(g, 8, 1 << 19, 1)) < 80 * 2**20
 
 
+def test_mc_label_blocks_keep_their_byte_cap_as_n_grows():
+    # a block held n x 2**19 int8 labels: 135 MiB traced at n=500 for
+    # 2**18 draws, where the capped blocks of 2**25 // n draws hold 36 MiB
+    g = Graph(500, np.zeros(500 * 499 // 2, dtype=bool))
+    log_kt_marginal_mc(g, 2, 100, 1)  # build the log-Gamma tables of n first
+    assert _traced_peak(lambda: log_kt_marginal_mc(g, 2, 1 << 18, 1)) < 48 * 2**20
+
+
 def test_orbit_weights_need_no_table_of_k_entries():
     # log k!/(k-m)! for the block counts m that occur: 30.5 MiB traced at
     # k = 10**6 with a (k + 1)-entry log-factorial table
@@ -268,7 +276,6 @@ def test_table_cap_refuses_before_building(n, k):
     g = random_graph(n, 0.5, 4)
     for call in (
         lambda: estimate_order(g, PenaltySpec(1.0), k_max=k),
-        lambda: profile_label_search(g, k),
         lambda: log_kt_marginal_exact(g, k),
         lambda: sup_log_lik_upper_bound(g, k),
     ):
@@ -309,6 +316,8 @@ def test_largest_table_under_the_cap():
 
 
 def test_partitions_alone_makes_enumeration_decisions():
+    # other modules may ask for the largest block count under the cap
+    # (``_max_table_blocks``), but never weigh the cap themselves
     owned = {"TABLE_CAP", "partition_count", "graph_cell_edges"}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "partitions.py":

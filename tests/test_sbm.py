@@ -44,6 +44,15 @@ def test_label_vector_validation():
         LabelVector([1, 3], 2)
 
 
+def test_label_vector_rejects_labels_that_are_not_integers():
+    # 1.5 became 1, and True became label 1
+    for labels, k in (([1.5, 2], 2), ([1.0, 2.0], 2), ([True, True], 1), (["1", "2"], 2)):
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            LabelVector(labels, k)
+    assert len(LabelVector([], 1)) == 0
+    assert LabelVector(np.array([1, 2], dtype=np.uint8), 2).labels.tolist() == [1, 2]
+
+
 def test_graph_validation():
     g = Graph.from_adjacency([[0, 1], [1, 0]])
     assert g.edge_count == 1

@@ -297,7 +297,7 @@ def test_gap_validation():
 def test_underfit_ratio_positive_small_exact():
     params = SbmParams(k=2, pi=[0.5, 0.5], P=[[0.95, 0.05], [0.05, 0.95]])
     z, g = sample_sbm(params, 8, derive_seed(40, 8, 0))
-    r = empirical_underfit_ratio(z, g, 2, mode="exact")
+    r = empirical_underfit_ratio(z, g, 2)
     assert r > 0
 
 
@@ -308,7 +308,7 @@ def test_underfit_ratio_vanishes_for_reducible_model():
     vals = []
     for n in (30, 120):
         z, g = sample_sbm(params, n, derive_seed(41, n, 0))
-        vals.append(abs(empirical_underfit_ratio(z, g, 2, mode="local", restarts=5, seed=0)))
+        vals.append(abs(empirical_underfit_ratio(z, g, 2, restarts=5, seed=0)))
     assert vals[1] < vals[0]
     assert vals[1] < 0.01
 
@@ -321,7 +321,7 @@ def test_underfit_ratio_approaches_dense_gap():
     rels = []
     for n in (50, 100, 200):
         z, g = sample_sbm(params, n, derive_seed(42, n, 0))
-        r = empirical_underfit_ratio(z, g, 2, mode="local", restarts=20, seed=0)
+        r = empirical_underfit_ratio(z, g, 2, restarts=20, seed=0)
         rels.append(abs(r - gap) / gap)
     assert rels[-1] <= 0.25
     assert rels[-1] < rels[0]  # tightening with n

@@ -1,4 +1,5 @@
-"""Every size argument goes through one rule: an integer (not bool) >= its floor."""
+"""Every size argument goes through one rule: an integer (not bool) >= its floor.
+Every seed goes through one more: an integer (not bool) in [0, 2**64)."""
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ SIZE_ARGUMENTS = {
     "log_kt_marginal_mc.k": lambda v: log_kt_marginal_mc(G, v, 1000, 0),
     "log_kt_marginal_mc.samples": lambda v: log_kt_marginal_mc(G, 2, v, 0),
     "profile_label_search.k": lambda v: profile_label_search(G, v),
-    "profile_label_search.restarts": lambda v: profile_label_search(G, 2, mode="local", restarts=v),
+    "profile_label_search.restarts": lambda v: profile_label_search(G, 2, restarts=v),
     "fit_marginal_ml.k": lambda v: fit_marginal_ml(G, v),
     "fit_marginal_ml.starts": lambda v: fit_marginal_ml(G, 2, starts=v),
     "SbmParams.k": lambda v: SbmParams(k=v, pi=[1.0], P=[[0.5]]),
@@ -66,6 +67,33 @@ SIZE_ARGUMENTS = {
 def test_size_arguments_reject_non_integers(name, value):
     with pytest.raises(ValidationError, match="must be an integer >= "):
         SIZE_ARGUMENTS[name](value)
+
+
+# past the table cap at k=4, so profile search is local and reads its seed
+G13 = Graph(13, np.zeros(13 * 12 // 2, dtype=bool))
+
+SEED_ARGUMENTS = {
+    "sample_sbm.seed": lambda v: sample_sbm(PARAMS, 4, v),
+    "log_kt_marginal_mc.seed": lambda v: log_kt_marginal_mc(G, 2, 100, v),
+    "estimate_order.seed": lambda v: estimate_order(G, SPEC, k_max=2, kt_method="mc:100", seed=v),
+    "profile_label_search.seed": lambda v: profile_label_search(G13, 4, restarts=1, seed=v),
+    "fit_marginal_ml.seed": lambda v: fit_marginal_ml(G, 2, starts=1, seed=v),
+    "gamma_suite.seed": lambda v: gamma_suite(count=1, seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1, 2**64], ids=["float", "bool", "negative", "2**64"])
+@pytest.mark.parametrize("name", sorted(SEED_ARGUMENTS))
+def test_seed_arguments_reject_all_but_64_bit_integers(name, value):
+    # 2.5 raised TypeError, True was seed 1, -1 aliased 2**64 - 1 and 2**64 aliased 0
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0 and <= 18446744073709551615"):
+        SEED_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_ARGUMENTS))
+def test_seed_arguments_take_both_ends_of_the_range(name):
+    for value in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        SEED_ARGUMENTS[name](value)
 
 
 @pytest.mark.parametrize("name", ["cell_stats.k", "log_kt_graph_given_labels.k", "log_kt_labels.k"])
