@@ -314,38 +314,21 @@ def _em_runs(stats, pis, Pcs, n):
     return iters, converged, history
 
 
-def _fit_one_block(x: Graph) -> FitResult:
-    """Closed-form k = 1 fit: the sup is at p_hat = edges / pairs."""
-    m_pairs = x.n * (x.n - 1) // 2
-    p_hat = x.edge_count / m_pairs
-    ll = float(m_pairs * gamma_fn(p_hat))
-    return FitResult(
-        params=SbmParams(k=1, pi=np.array([1.0]), P=np.array([[p_hat]])),
-        log_marginal=ll,
-        iterations=1,
-        converged=True,
-        estep="exact",
-        history=(ll,),
-    )
-
-
 def fit_marginal_ml(x: Graph, k: int, starts: int = 16, seed: int = 0) -> FitResult:
     """Approximate sup over (pi, P) of the marginal log-likelihood log P(x).
 
     Exact EM, best of ``starts`` seeded random initializations (the first
     on ties); the per-iteration log-marginal trace of a run is
-    non-decreasing.  k = 1 has a closed form.  For k > 1 the E-step
-    enumerates all k**n labelings, so k**n above ``EM_CAP`` raises
-    InfeasibleSizeError.  The starts run in groups whose temporaries stay
-    under ``partitions._STATS_BYTES``.
+    non-decreasing.  The E-step enumerates all k**n labelings, so k**n
+    above ``EM_CAP`` raises InfeasibleSizeError; at k = 1 the first M-step
+    reaches the one-block sup.  The starts run in groups whose temporaries
+    stay under ``partitions._STATS_BYTES``.
     """
     require_int("k", k)
     require_int("starts", starts)
     n = x.n
     if n < 2:
         raise ValidationError("fit_marginal_ml requires n >= 2")
-    if k == 1:
-        return _fit_one_block(x)
     if k**n > EM_CAP:
         raise InfeasibleSizeError(f"exact enumeration needs k**n = {k**n} labelings, above the cap {EM_CAP}")
     counts, hn, ho = labeling_stats(n, k, x.edges())

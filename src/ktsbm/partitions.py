@@ -68,7 +68,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def cell_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condensed upper-triangle cell indexing for an m x m symmetric matrix.
 
@@ -273,7 +273,7 @@ def _max_table_blocks(n: int) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _append_cells(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pick, gather, blocks) for the edges that a node with label l and
     d[b] earlier neighbours in block b adds to the condensed cells of k

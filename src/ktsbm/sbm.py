@@ -192,9 +192,9 @@ class Graph:
     @classmethod
     def from_adjacency(cls, adj) -> "Graph":
         adj = np.asarray(adj)
-        n = adj.shape[0]
-        if adj.shape != (n, n):
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValidationError("adjacency must be square")
+        n = adj.shape[0]
         if np.any(adj.diagonal() != 0):
             raise ValidationError("adjacency must have zero diagonal")
         if not np.array_equal(adj, adj.T):
@@ -237,12 +237,11 @@ class Graph:
         return adj + adj.T
 
     def permute_nodes(self, perm) -> "Graph":
-        """Graph with node i renamed perm[i]."""
-        perm = np.asarray(perm, dtype=np.int64)
-        adj = self.adjacency()
-        new = np.zeros_like(adj)
-        new[np.ix_(perm, perm)] = adj
-        return Graph.from_adjacency(new)
+        """Graph with node i renamed perm[i]; perm permutes 0..n-1."""
+        perm = np.asarray(perm)
+        if perm.shape != (self.n,) or perm.dtype.kind not in "iu" or np.any(np.sort(perm) != np.arange(self.n)):
+            raise ValidationError(f"perm must be a permutation of 0..{self.n - 1}, got {perm.tolist()!r}")
+        return Graph.from_edges(self.n, perm[self.edges()])
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,6 +9,8 @@ seeded experiment can be reproduced independently.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import require_int
@@ -17,8 +19,8 @@ _MASK = (1 << 64) - 1
 
 
 def mix64(x: int) -> int:
-    """SplitMix64 finalizer: a fixed 64-bit bijective hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    """SplitMix64 finalizer: a fixed 64-bit bijective hash of x modulo 2**64."""
+    x = (operator.index(x) + 0x9E3779B97F4A7C15) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
@@ -27,13 +29,14 @@ def mix64(x: int) -> int:
 def derive_seed(master_seed: int, *parts: int) -> int:
     """Mix a master seed with integer coordinates (e.g. n, trial index).
 
-    derive_seed(s, n, t) = mix64(mix64(mix64(s) ^ n) ^ t); stable across
-    runs, platforms and worker counts.  The master seed is an integer in
+    derive_seed(s, n, t) = mix64(mix64(mix64(s) ^ n) ^ t), with Python or
+    numpy integer coordinates taken modulo 2**64; stable across runs,
+    platforms and worker counts.  The master seed is an integer in
     [0, 2**64), like every seed from outside.
     """
     s = mix64(require_int("seed", master_seed, low=0, high=_MASK))
     for p in parts:
-        s = mix64(s ^ (p & _MASK))
+        s = mix64(s ^ (operator.index(p) & _MASK))
     return s
 
 

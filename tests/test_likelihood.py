@@ -308,6 +308,14 @@ def test_fit_k1_closed_form():
     assert res.converged and res.estep == "exact"
 
 
+def test_fit_k1_reaches_the_one_block_sup_on_every_4_node_graph():
+    # one labeling, so the first M-step sets P to edges / pairs
+    for idx, g in enumerate(enumerate_graphs(4)):
+        fit = fit_marginal_ml(g, 1, seed=idx)
+        assert fit.log_marginal == pytest.approx(sup_log_lik_upper_bound(g, 1), rel=1e-12, abs=0.0)
+        assert fit.converged and fit.iterations <= 3
+
+
 def test_fit_monotone_ascent_exact():
     rng = np.random.default_rng(18)
     for seed in range(6):

@@ -424,3 +424,12 @@ def test_cell_layout_is_shared_and_read_only():
     for a in (cell_a, cell_b, cell_of):
         with pytest.raises(ValueError):
             a[0] = 1
+
+
+def test_per_k_cell_tables_keep_a_bounded_cache():
+    # cell_of alone is k x k int64: keeping every k of a Monte Carlo
+    # estimate over k = 1..k_max would hold O(k_max**3) bytes
+    for k in range(1, 256):
+        cell_layout(k), partitions._append_cells(k)
+    assert cell_layout.cache_info().currsize <= 8
+    assert partitions._append_cells.cache_info().currsize <= 8

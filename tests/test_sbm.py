@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,27 @@ def test_graph_validation():
         Graph.from_adjacency([[0, 1], [0, 0]])  # asymmetric
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 0)])  # self loop
+    with pytest.raises(ValidationError):
+        Graph.from_adjacency(np.array(5))  # 0-d
+
+
+def test_permute_nodes_renames_each_node():
+    rng = np.random.default_rng(4)
+    g = Graph(6, rng.random(15) < 0.5)
+    perm = rng.permutation(6)
+    adj = g.adjacency()
+    want = np.zeros_like(adj)
+    want[np.ix_(perm, perm)] = adj
+    assert g.permute_nodes(perm) == Graph.from_adjacency(want)
+    assert g.permute_nodes(perm.astype(np.uint8)) == Graph.from_adjacency(want)
+
+
+def test_permute_nodes_takes_only_permutations():
+    g = Graph.from_edges(3, [(1, 2)])
+    # a repeat would drop the edge, 0.5 truncate to 0 and -1 wrap round
+    for perm in ([0, 1, 1], [0.5, 1, 2], [-1, 0, 1], [0, 1, 3], [0, 1], [[0, 1, 2]], [True, False, True]):
+        with pytest.raises(ValidationError, match="permutation"):
+            g.permute_nodes(perm)
 
 
 def test_forced_graphs():
@@ -210,3 +233,15 @@ def test_seed_mixing_is_stable():
     assert derive_seed(7, 4, 2) == derive_seed(7, 4, 2)
     assert derive_seed(7, 4, 2) != derive_seed(7, 4, 3)
     assert derive_seed(7, 4, 2) != derive_seed(7, 5, 2)
+
+
+def test_seed_coordinates_may_be_numpy_integers():
+    # each masks to its Python twin's value, with no OverflowError from the
+    # signed scalars and no overflow warning from the unsigned ones
+    values = (np.int64(5), np.int32(-1), np.uint64(5), np.uint64(2**64 - 1), np.int8(-128), np.uint16(9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in values:
+            assert derive_seed(1, v) == derive_seed(1, int(v))
+            assert derive_seed(7, 4, v, 2) == derive_seed(7, 4, int(v), 2)
+            assert mix64(v) == mix64(int(v))
